@@ -29,8 +29,7 @@ CHECK = 5
 def predict_large(nprocs: int):
     predictor = DPerfPredictor(obstacle.obstacle_source(), obstacle.ENTRY)
     cal_n = max(32, nprocs)  # rows ≥ 1 in the calibration instance
-    runs = predictor.execute(nprocs, args=[cal_n, 2 * CHECK, CHECK],
-                             timeout=600.0)
+    runs = predictor.execute(nprocs, args=[cal_n, 2 * CHECK, CHECK])
     plan = ScalePlan(
         env_cal=obstacle.scale_env(cal_n, nprocs),
         env_target=obstacle.scale_env(TARGET_N, nprocs),

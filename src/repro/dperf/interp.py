@@ -1,4 +1,4 @@
-"""Mini-C interpreter with operation accounting.
+"""Mini-C execution with operation accounting.
 
 This is the "execution of instrumented code" stage of dPerf (Fig. 6):
 the program runs for real — arrays hold real numbers, messages carry
@@ -6,17 +6,24 @@ real data between ranks — while every operation is charged to the
 innermost active instrumented block of the per-rank
 :class:`~repro.dperf.papi.SkeletonRecorder`.
 
-Multi-rank execution uses one Python thread per rank with blocking
-queues for the P2PSAP data plane, so synchronous iterative codes (the
-obstacle problem) execute with their true data dependences.
+Each :class:`Interp` compiles the program once into closures over
+compile-time-resolved local slots; they charge operations, count steps
+and raise errors in tree-walk order, so census key order is stable.
+Multi-rank runs use one thread per rank under a baton: one rank runs
+at a time and passes on, in rank order, only when it blocks (``recv``
+on an empty channel, barrier, allreduce).  If no rank can run, every
+rank fails at once with an :class:`InterpError` naming the wait-for
+edges — a deadlock is reported, never a hang.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import queue
+import operator
 import re
 import threading
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
@@ -32,6 +39,10 @@ class InterpError(Exception):
     pass
 
 
+class _Deadlock(InterpError):
+    """Raised in every blocked rank once no rank can run."""
+
+
 class _BreakSignal(Exception):
     pass
 
@@ -45,21 +56,12 @@ class _ReturnSignal(Exception):
         self.value = value
 
 
+@dataclass(eq=False, slots=True)
 class CArray:
     """A mini-C array backed by a numpy array (views share storage)."""
 
-    __slots__ = ("data", "is_float")
-
-    def __init__(self, data: np.ndarray, is_float: bool) -> None:
-        self.data = data
-        self.is_float = is_float
-
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    def view(self, index: int) -> "CArray":
-        return CArray(self.data[index], self.is_float)
+    data: np.ndarray
+    is_float: bool
 
 
 # --------------------------------------------------------------------------
@@ -85,72 +87,110 @@ class NullComm:
         return value
 
 
-class ThreadedComm:
-    """One rank's endpoint of the threaded multi-rank runtime."""
+class _Baton:
+    """Runs the rank threads of one distributed run one at a time: each
+    sleeps on its own lock, and the running rank wakes the next runnable
+    one (in rank order after itself) only when it blocks or ends."""
 
-    def __init__(self, rank: int, size: int, shared: "_SharedComm") -> None:
-        self.rank = rank
+    def __init__(self, size: int) -> None:
         self.size = size
-        self._shared = shared
+        self.channels: Dict[tuple, deque] = defaultdict(deque)
+        self.locks = [threading.Semaphore(0) for _ in range(size)]
+        self.waits: List[Optional[tuple]] = [None] * size  # (kind, peer)
+        self.done = [False] * size
+        self.arrived: Dict[int, Any] = {}  # rank -> value, open collective
+        self.result: Any = None  # every rank reads it before the next
+        self.stalled: Optional[str] = None
+
+    def _runnable(self, rank: int) -> bool:
+        wait = self.waits[rank]
+        return not self.done[rank] and (wait is None or wait[0] == "recv"
+                                        and bool(self.channels[wait[1], rank]))
+
+    def _edge(self, rank: int) -> str:
+        kind, peer = self.waits[rank]
+        if kind == "recv":
+            return f"rank {rank} waits in recv from rank {peer}"
+        missing = [r for r in range(self.size) if r not in self.arrived]
+        return f"rank {rank} waits at {kind} for ranks {missing}"
+
+    def _hand_on(self, rank: int) -> None:
+        for step in range(1, self.size + 1):
+            nxt = (rank + step) % self.size
+            if self._runnable(nxt):
+                self.locks[nxt].release()
+                return
+        blocked = [r for r in range(self.size) if not self.done[r]]
+        if blocked:
+            self.stalled = "deadlock: " + "; ".join(map(self._edge, blocked))
+            for r in set(blocked) - {rank}:
+                self.locks[r].release()
+
+    def block(self, rank: int, kind: str, peer: Optional[int] = None) -> None:
+        self.waits[rank] = (kind, peer)
+        self._hand_on(rank)
+        if self.stalled is None:
+            self.locks[rank].acquire()
+        if self.stalled is not None:
+            raise _Deadlock(self.stalled)
+        self.waits[rank] = None
+
+    def finish(self, rank: int) -> None:
+        self.done[rank] = True
+        if self.stalled is None:
+            self._hand_on(rank)
+
+    def collective(self, rank: int, kind: str, value: Any) -> Any:
+        arrived = self.arrived
+        if arrived and self.waits[min(arrived)][0] != kind:
+            raise InterpError(f"rank {rank}: {kind} while ranks"
+                              f" {sorted(arrived)} wait at another collective")
+        arrived[rank] = value
+        if len(arrived) < self.size:
+            self.block(rank, kind)
+            return self.result
+        self.result = (max([arrived[r] for r in range(self.size)])
+                       if kind == "allreduce" else None)
+        for r in arrived:
+            self.waits[r] = None
+        self.arrived = {}
+        return self.result
+
+
+@dataclass
+class RankComm:
+    """One rank's endpoint of the baton-scheduled multi-rank runtime."""
+
+    rank: int
+    size: int
+    _baton: _Baton
 
     def data_send(self, dst: int, values: np.ndarray, tag: str) -> None:
         if not (0 <= dst < self.size):
             raise InterpError(f"send to invalid rank {dst}")
-        self._shared.channel(self.rank, dst).put(np.array(values, copy=True))
+        self._baton.channels[self.rank, dst].append(np.array(values, copy=True))
 
     def data_recv(self, src: int, count: int, tag: str) -> np.ndarray:
         if not (0 <= src < self.size):
             raise InterpError(f"recv from invalid rank {src}")
-        try:
-            data = self._shared.channel(src, self.rank).get(
-                timeout=self._shared.timeout
-            )
-        except queue.Empty:
-            raise InterpError(
-                f"rank {self.rank}: recv from {src} timed out — "
-                "deadlock or peer failure"
-            ) from None
+        channel = self._baton.channels[src, self.rank]
+        if not channel:
+            self._baton.block(self.rank, "recv", src)
+        data = channel.popleft()
         if len(data) != count:
-            raise InterpError(
-                f"rank {self.rank}: recv count {count} != sent {len(data)}"
-            )
+            raise InterpError(f"rank {self.rank}: recv count {count}"
+                              f" != sent {len(data)}")
         return data
 
     def barrier(self) -> None:
-        try:
-            self._shared.barrier.wait(timeout=self._shared.timeout)
-        except threading.BrokenBarrierError:
-            raise InterpError("barrier broken (peer failed?)") from None
+        self._baton.collective(self.rank, "barrier", None)
 
     def allreduce_max(self, value: float) -> float:
-        shared = self._shared
-        shared.reduce_slots[self.rank] = value
-        self.barrier()
-        result = max(shared.reduce_slots)
-        self.barrier()  # keep slots stable until everyone has read
-        return result
-
-
-class _SharedComm:
-    def __init__(self, size: int, timeout: float) -> None:
-        self.size = size
-        self.timeout = timeout
-        self._channels: Dict[tuple, queue.Queue] = {}
-        self._lock = threading.Lock()
-        self.barrier = threading.Barrier(size)
-        self.reduce_slots: List[float] = [0.0] * size
-
-    def channel(self, src: int, dst: int) -> queue.Queue:
-        key = (src, dst)
-        ch = self._channels.get(key)
-        if ch is None:
-            with self._lock:
-                ch = self._channels.setdefault(key, queue.Queue())
-        return ch
+        return self._baton.collective(self.rank, "allreduce", value)
 
 
 # --------------------------------------------------------------------------
-# The interpreter
+# The compiler
 # --------------------------------------------------------------------------
 
 _FLOAT_TYPES = ("float", "double")
@@ -158,8 +198,121 @@ _FLOAT_TYPES = ("float", "double")
 _PRINTF_SPEC = re.compile(r"%[-+ #0-9.]*([dioufgGeEsxX%])")
 
 
+def _converter(type_name: str) -> Callable[[Any], Any]:
+    """Store conversion to a declared type (``None`` passes through)."""
+    conv = float if type_name in _FLOAT_TYPES else int
+    return lambda value: None if value is None else conv(value)
+
+
+def _c_div(left: Any, right: Any, line: int, mod: bool = False) -> Any:
+    """C ``/`` (``%`` if ``mod``), exact on ints: truncates toward zero."""
+    if isinstance(left, int) and isinstance(right, int):
+        if right == 0:
+            what = "modulo" if mod else "integer division"
+            raise InterpError(f"line {line}: {what} by zero")
+        q, rem = divmod(abs(left), abs(right))
+        if mod:
+            return -rem if left < 0 else rem
+        return q if (left < 0) == (right < 0) else -q
+    if mod:
+        raise InterpError(f"line {line}: %% requires integers")
+    if right == 0.0:
+        return math.inf if left > 0 else (-math.inf if left < 0 else math.nan)
+    return left / right
+
+
+#: operator -> (function, op category unless both operands are ints)
+_BINARY: Dict[str, tuple] = {
+    "+": (operator.add, "fp_add"), "-": (operator.sub, "fp_add"),
+    "*": (operator.mul, "fp_mul"), "/": (_c_div, "fp_div"),
+    "%": (_c_div, "int_op"),
+}
+for _op, _fn in {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+                 ">=": operator.ge, "==": operator.eq,
+                 "!=": operator.ne}.items():
+    _BINARY[_op] = (lambda a, b, test=_fn: int(test(a, b)), "int_op")
+for _op, _fn in {"&": operator.and_, "|": operator.or_, "^": operator.xor,
+                 "<<": operator.lshift, ">>": operator.rshift}.items():
+    _BINARY[_op] = (lambda a, b, bits=_fn: bits(int(a), int(b)), "int_op")
+_UNARY: Dict[str, tuple] = {"-": (operator.neg, "fp_add"),
+                            "!": (lambda v: int(not v), "int_op"),
+                            "~": (lambda v: ~int(v), "int_op")}
+_MATH: Dict[str, Callable] = {
+    "fabs": lambda x: abs(float(x)), "sqrt": math.sqrt, "exp": math.exp,
+    "log": math.log, "pow": math.pow, "floor": math.floor, "ceil": math.ceil,
+    "fmax": lambda a, b: max(float(a), float(b)),
+    "fmin": lambda a, b: min(float(a), float(b)),
+    "abs": lambda x: abs(int(x)),
+}
+_MESSAGES = {"p2psap_send": "send", "mpi_send": "send", "mpi_isend": "isend",
+             "p2psap_isend": "isend", "p2psap_recv": "recv", "mpi_recv": "recv"}
+
+
+def _check_index(data: np.ndarray, idx: Sequence[int], line: int,
+                 name: str) -> None:
+    if len(idx) > data.ndim:
+        raise InterpError(f"line {line}: {name!r} has {data.ndim} dims,"
+                          f" indexed with {len(idx)}")
+    for axis, (i, size) in enumerate(zip(idx, data.shape)):
+        if not (0 <= i < size):
+            raise InterpError(f"line {line}: index {i} out of bounds for axis"
+                              f" {axis} of {name!r} (size {size})")
+
+
+def _raiser(message: str, error: type = InterpError) -> Callable:
+    def fail(*_args: Any) -> Any:
+        raise error(message)
+    return fail
+
+
+def _no_op(*_args: Any) -> None:
+    return None
+
+
+def _seq(runs: List[Callable]) -> Callable:
+    """One closure running ``runs`` in order."""
+    if len(runs) == 1:
+        return runs[0]
+
+    def run_all(f):
+        for run in runs:
+            run(f)
+    return run_all
+
+
+class _Ctx:
+    """Compile-time scopes (``name -> (slot, type name)``) of a function,
+    or of the global initializers; ``ctrl`` is the innermost enclosing
+    instrumented loop's control block."""
+
+    def __init__(self, is_global: bool = False) -> None:
+        self.is_global = is_global
+        self.scopes: List[Dict[str, tuple]] = [{}]
+        self.nslots = 0
+        self.ctrl: Optional[int] = None
+
+    def declare(self, name: str, type_name: str) -> Any:
+        """The slot of a new local (a global is keyed by its name)."""
+        if self.is_global:
+            return name
+        self.scopes[-1][name] = (self.nslots, type_name)
+        self.nslots += 1
+        return self.nslots - 1
+
+    def resolve(self, name: str) -> Optional[tuple]:
+        for scope in reversed(self.scopes):
+            if name in scope:
+                return scope[name]
+        return None
+
+
 class Interp:
-    """Evaluates one rank's program with operation accounting."""
+    """Compiles one rank's program, then runs it with operation accounting.
+
+    Statements and expressions compile to closures over ``f``, the slot
+    list of one activation (``globals`` for global initializers); jumps
+    unwind as exceptions.  ``charge`` returns ``None``, so ``charge(c)
+    or value`` charges, then evaluates ``value``."""
 
     def __init__(
         self,
@@ -170,7 +323,6 @@ class Interp:
         max_steps: Optional[int] = None,
     ) -> None:
         self.program = program
-        self.funcs = {f.name: f for f in program.funcs}
         self.recorder = recorder or SkeletonRecorder(0)
         self.comm = comm or NullComm()
         self.table = block_table
@@ -179,617 +331,465 @@ class Interp:
         self._steps = 0
         self._ctrl_stack: List[int] = []  # innermost loop-control block ids
         self.globals: Dict[str, Any] = {}
-        self.global_types: Dict[str, str] = {}
-        # hot path: bind the recorder's charge directly (one hop less
-        # per executed operation)
+        self.global_types = {d.name: d.type.name
+                             for s in program.globals for d in s.decls}
         self._charge = self.recorder.charge
-        self._init_globals()
+        self._tick = self._step if max_steps is not None else lambda: None
+        self.funcs = {f.name: (len(f.params), self._function(f))
+                      for f in program.funcs}
+        ctx = _Ctx(is_global=True)
+        for init in [self._stmt_body(s, ctx) for s in program.globals]:
+            init(self.globals)
 
-    # -- setup -------------------------------------------------------------
-    def _init_globals(self) -> None:
-        frame = _Frame(self.globals, self.global_types)
-        for decl_stmt in self.program.globals:
-            self._exec_decl(decl_stmt, frame)
-
-    # -- public API -----------------------------------------------------------
     def call_function(self, name: str, args: Sequence[Any]) -> Any:
-        func = self.funcs.get(name)
-        if func is None:
+        entry = self.funcs.get(name)
+        if entry is None:
             raise InterpError(f"no function {name!r}")
-        if len(args) != len(func.params):
-            raise InterpError(
-                f"{name}() takes {len(func.params)} args, got {len(args)}"
-            )
-        frame = _Frame({}, {}, parent_values=self.globals,
-                       parent_types=self.global_types)
-        for param, arg in zip(func.params, args):
-            if param.is_array:
-                if isinstance(arg, np.ndarray):
-                    arg = CArray(arg, param.type.name in _FLOAT_TYPES)
-                if not isinstance(arg, CArray):
-                    raise InterpError(
-                        f"{name}(): parameter {param.name!r} expects an array"
-                    )
-                frame.values[param.name] = arg
-                frame.types[param.name] = param.type.name
-            else:
-                frame.values[param.name] = self._coerce(arg, param.type.name)
-                frame.types[param.name] = param.type.name
-        try:
-            self._exec_block(func.body, frame)
-        except _ReturnSignal as ret:
-            if func.return_type.is_void:
-                return None
-            return self._coerce(ret.value, func.return_type.name)
-        return None
-
-    # -- helpers -----------------------------------------------------------------
-    @staticmethod
-    def _coerce(value: Any, type_name: str) -> Any:
-        if value is None:
-            return None
-        if type_name in _FLOAT_TYPES:
-            return float(value)
-        return int(value)  # truncation toward zero, as in C
+        nparams, invoke = entry
+        if len(args) != nparams:
+            raise InterpError(f"{name}() takes {nparams} args, got {len(args)}")
+        return invoke(args)
 
     def _step(self) -> None:
         self._steps += 1
-        if self.max_steps is not None and self._steps > self.max_steps:
+        if self._steps > self.max_steps:
             raise InterpError(f"step limit {self.max_steps} exceeded")
 
-    # -- statements ------------------------------------------------------------
-    def _exec_block(self, block: A.Block, frame: "_Frame") -> None:
-        inner = frame.child()
-        for stmt in block.stmts:
-            self._exec_stmt(stmt, inner)
+    # -- functions and statements ---------------------------------------------
+    def _function(self, func: A.FuncDef) -> Callable[[Sequence[Any]], Any]:
+        ctx = _Ctx()
+        params = [(p, ctx.declare(p.name, p.type.name),
+                   _converter(p.type.name)) for p in func.params]
+        body = self._block(func.body, ctx)
+        nslots, name = ctx.nslots, func.name
+        ret = None if func.return_type.is_void else _converter(
+            func.return_type.name)
 
-    def _exec_stmt(self, stmt: A.Stmt, frame: "_Frame") -> None:
-        self._step()
-        if isinstance(stmt, A.ExprStmt):
-            self._eval(stmt.expr, frame)
-        elif isinstance(stmt, A.DeclStmt):
-            self._exec_decl(stmt, frame)
-        elif isinstance(stmt, A.Block):
-            self._exec_block(stmt, frame)
-        elif isinstance(stmt, A.If):
-            self._charge("branch")
-            if self._truthy(self._eval_attr_ctrl(stmt.cond, frame)):
-                self._exec_stmt(stmt.then, frame.child())
-            elif stmt.other is not None:
-                self._exec_stmt(stmt.other, frame.child())
-        elif isinstance(stmt, A.While):
-            self._exec_while(stmt, frame)
-        elif isinstance(stmt, A.For):
-            self._exec_for(stmt, frame)
-        elif isinstance(stmt, A.Return):
-            value = None if stmt.value is None else self._eval(stmt.value, frame)
-            raise _ReturnSignal(value)
-        elif isinstance(stmt, A.Break):
-            raise _BreakSignal()
-        elif isinstance(stmt, A.Continue):
-            raise _ContinueSignal()
-        elif isinstance(stmt, A.Empty):
-            pass
-        else:  # pragma: no cover - defensive
-            raise InterpError(f"unsupported statement {type(stmt).__name__}")
-
-    def _exec_decl(self, stmt: A.DeclStmt, frame: "_Frame") -> None:
-        for d in stmt.decls:
-            if d.is_array:
-                dims = []
-                for dim_expr in d.dims:
-                    dim = int(self._eval(dim_expr, frame))
-                    if dim <= 0:
-                        raise InterpError(
-                            f"line {d.line}: array {d.name!r} dimension {dim} <= 0"
-                        )
-                    dims.append(dim)
-                is_float = d.type.name in _FLOAT_TYPES
-                dtype = np.float64 if is_float else np.int64
-                frame.declare(d.name, CArray(np.zeros(dims, dtype), is_float),
-                              d.type.name)
-                if d.init is not None:
-                    raise InterpError(
-                        f"line {d.line}: array initializers are not supported"
-                    )
-            else:
-                value = 0
-                if d.init is not None:
-                    value = self._eval(d.init, frame)
-                frame.declare(d.name, self._coerce(value, d.type.name),
-                              d.type.name)
-                self._charge("scalar_store")
-
-    def _exec_while(self, stmt: A.While, frame: "_Frame") -> None:
-        ctrl = self.table.control_block_for(stmt) if self.table else None
-        while True:
-            self._step()
-            self._charge_ctrl(ctrl, "branch")
-            cond = self._eval_with_ctrl(stmt.cond, frame, ctrl)
-            if not self._truthy(cond):
-                break
+        def invoke(args: Sequence[Any]) -> Any:
+            f = [None] * nslots
+            for (param, slot, conv), arg in zip(params, args):
+                if param.is_array and isinstance(arg, np.ndarray):
+                    arg = CArray(arg, param.type.name in _FLOAT_TYPES)
+                if param.is_array and not isinstance(arg, CArray):
+                    raise InterpError(f"{name}(): parameter {param.name!r}"
+                                      " expects an array")
+                f[slot] = arg if param.is_array else conv(arg)
             try:
-                self._run_loop_body(stmt.body, frame, ctrl)
-            except _BreakSignal:
-                break
-            except _ContinueSignal:
-                continue
+                body(f)
+            except _ReturnSignal as sig:
+                return None if ret is None else ret(sig.value)
+            return None
+        return invoke
 
-    def _exec_for(self, stmt: A.For, frame: "_Frame") -> None:
+    def _stmt(self, stmt: A.Stmt, ctx: _Ctx, scoped: bool = False) -> Callable:
+        """A statement counted as one step (in its own scope if asked)."""
+        if scoped:
+            ctx.scopes.append({})
+        run, tick = self._stmt_body(stmt, ctx), self._tick
+        if scoped:
+            ctx.scopes.pop()
+        return run if self.max_steps is None else lambda f: tick() or run(f)
+
+    def _block(self, block: A.Block, ctx: _Ctx) -> Callable:
+        ctx.scopes.append({})
+        run = _seq([self._stmt(s, ctx) for s in block.stmts] or [_no_op])
+        ctx.scopes.pop()
+        return run
+
+    def _stmt_body(self, stmt: A.Stmt, ctx: _Ctx) -> Callable:
+        kind = type(stmt)
+        if kind is A.ExprStmt:
+            return self._expr(stmt.expr, ctx)
+        if kind is A.DeclStmt:
+            return _seq([self._declarator(d, ctx) for d in stmt.decls])
+        if kind is A.Block:
+            return self._block(stmt, ctx)
+        if kind is A.If:
+            return self._if(stmt, ctx)
+        if kind in (A.While, A.For):
+            return self._loop(stmt, ctx)
+        if kind is A.Return:
+            value = _no_op if stmt.value is None else self._expr(stmt.value, ctx)
+
+            def ret(f):
+                raise _ReturnSignal(value(f))
+            return ret
+        if kind in (A.Break, A.Continue):
+            return _raiser("", _BreakSignal if kind is A.Break
+                           else _ContinueSignal)
+        if kind is A.Empty:
+            return _no_op
+        return _raiser(f"unsupported statement {kind.__name__}")
+
+    def _declarator(self, d: A.VarDecl, ctx: _Ctx) -> Callable:
+        # dims and initializer still see any enclosing binding of the name
+        dims = [self._expr(e, ctx) for e in d.dims]
+        init = None if d.init is None else self._expr(d.init, ctx)
+        tname, line, name, charge = d.type.name, d.line, d.name, self._charge
+        key = ctx.declare(name, tname)
+        if not d.is_array:
+            conv = _converter(tname)
+
+            def declare_scalar(f):
+                f[key] = conv(0 if init is None else init(f))
+                charge("scalar_store")
+            return declare_scalar
+        is_float = tname in _FLOAT_TYPES
+        dtype = np.float64 if is_float else np.int64
+
+        def declare_array(f):
+            shape = []
+            for dim_expr in dims:
+                shape.append(int(dim_expr(f)))
+                if shape[-1] <= 0:
+                    raise InterpError(f"line {line}: array {name!r}"
+                                      f" dimension {shape[-1]} <= 0")
+            f[key] = CArray(np.zeros(shape, dtype), is_float)
+            if init is not None:
+                raise InterpError(
+                    f"line {line}: array initializers are not supported")
+        return declare_array
+
+    def _under_ctrl(self, run: Callable, ctrl: Optional[int],
+                    dynamic: bool = False) -> Callable:
+        """``run`` with its ops attributed to loop-control block ``ctrl``;
+        ``dynamic`` takes the innermost *running* loop's block instead
+        (an ``if`` outside any loop of its own function)."""
+        rec, stack = self.recorder, self._ctrl_stack
+        if ctrl is None and not (dynamic and self.table is not None):
+            return run
+
+        def attributed(f):
+            block = ctrl if ctrl is not None else (stack[-1] if stack else None)
+            if block is None:
+                return run(f)
+            rec.attr_push(block)
+            try:
+                return run(f)
+            finally:
+                rec.attr_pop()
+        return attributed
+
+    def _if(self, stmt: A.If, ctx: _Ctx) -> Callable:
+        cond = self._under_ctrl(self._expr(stmt.cond, ctx), ctx.ctrl, True)
+        then = self._stmt(stmt.then, ctx, scoped=True)
+        other = _no_op if stmt.other is None else self._stmt(
+            stmt.other, ctx, scoped=True)
+        charge = self._charge
+        return lambda f: charge("branch") or (then if cond(f) else other)(f)
+
+    def _loop(self, stmt, ctx: _Ctx) -> Callable:
+        """``while``/``for``; test (a branch), init and step are charged
+        to the loop's control block."""
         ctrl = self.table.control_block_for(stmt) if self.table else None
-        loop_frame = frame.child()
-        if stmt.init is not None:
-            if ctrl is not None:
-                self.recorder.attr_push(ctrl)
-                try:
-                    self._exec_stmt(stmt.init, loop_frame)
-                finally:
-                    self.recorder.attr_pop()
-            else:
-                self._exec_stmt(stmt.init, loop_frame)
-        while True:
-            self._step()
-            self._charge_ctrl(ctrl, "branch")
-            if stmt.cond is not None:
-                cond = self._eval_with_ctrl(stmt.cond, loop_frame, ctrl)
-                if not self._truthy(cond):
+        ctx.scopes.append({})
+        init, step = getattr(stmt, "init", None), getattr(stmt, "step", None)
+        init = init and self._under_ctrl(self._stmt(init, ctx), ctrl)
+        cond = None if stmt.cond is None else self._expr(stmt.cond, ctx)
+        step = step and self._under_ctrl(self._expr(step, ctx), ctrl)
+        outer, ctx.ctrl = ctx.ctrl, ctx.ctrl if ctrl is None else ctrl
+        body = self._stmt(stmt.body, ctx, scoped=True)
+        ctx.ctrl = outer
+        ctx.scopes.pop()
+        charge, tick, stack = self._charge, self._tick, self._ctrl_stack
+        test = self._under_ctrl(
+            lambda f: charge("branch") or cond is None or cond(f), ctrl)
+
+        def run_loop(f):
+            if init is not None:
+                init(f)
+            while True:
+                tick()
+                if not test(f):
                     break
-            try:
-                self._run_loop_body(stmt.body, loop_frame, ctrl)
-            except _BreakSignal:
-                break
-            except _ContinueSignal:
-                pass
-            if stmt.step is not None:
-                self._eval_with_ctrl(stmt.step, loop_frame, ctrl)
-
-    def _run_loop_body(self, body: A.Stmt, frame: "_Frame", ctrl) -> None:
-        if ctrl is not None:
-            self._ctrl_stack.append(ctrl)
-            try:
-                self._exec_stmt(body, frame.child())
-            finally:
-                self._ctrl_stack.pop()
-        else:
-            self._exec_stmt(body, frame.child())
-
-    def _charge_ctrl(self, ctrl: Optional[int], category: str) -> None:
-        if ctrl is not None:
-            self.recorder.attr_push(ctrl)
-            try:
-                self._charge(category)
-            finally:
-                self.recorder.attr_pop()
-        else:
-            self._charge(category)
-
-    def _eval_with_ctrl(self, expr: A.Expr, frame: "_Frame", ctrl) -> Any:
-        if ctrl is not None:
-            self.recorder.attr_push(ctrl)
-            try:
-                return self._eval(expr, frame)
-            finally:
-                self.recorder.attr_pop()
-        return self._eval(expr, frame)
-
-    def _eval_attr_ctrl(self, expr: A.Expr, frame: "_Frame") -> Any:
-        """Evaluate an If condition, attributed to the innermost loop's
-        control block when inside a loop."""
-        ctrl = self._ctrl_stack[-1] if self._ctrl_stack else None
-        return self._eval_with_ctrl(expr, frame, ctrl)
+                if ctrl is not None:
+                    stack.append(ctrl)
+                try:
+                    body(f)
+                except _BreakSignal:
+                    break
+                except _ContinueSignal:
+                    pass
+                finally:
+                    if ctrl is not None:
+                        stack.pop()
+                if step is not None:
+                    step(f)
+        return run_loop
 
     # -- expressions -------------------------------------------------------------
-    @staticmethod
-    def _truthy(value: Any) -> bool:
-        return bool(value)
-
-    def _eval(self, expr: A.Expr, frame: "_Frame") -> Any:
-        kind = type(expr)
-        if kind is A.IntLit:
-            return expr.value
-        if kind is A.FloatLit:
-            return expr.value
+    def _expr(self, expr: A.Expr, ctx: _Ctx) -> Callable:
+        kind, charge = type(expr), self._charge
+        if kind in (A.IntLit, A.FloatLit, A.StringLit):
+            value = expr.value
+            return lambda f: value
         if kind is A.Ident:
-            value = frame.lookup(expr.name, expr.line)
-            if not isinstance(value, CArray):
-                self._charge("scalar_load")
-            return value
+            get = self._place(expr.name, expr.line, ctx)[0]
+
+            def load(f):
+                value = get(f)
+                if not isinstance(value, CArray):
+                    charge("scalar_load")
+                return value
+            return load
         if kind is A.Index:
-            return self._eval_index_read(expr, frame)
+            return self._element(expr, ctx)
         if kind is A.BinOp:
-            return self._eval_binop(expr, frame)
+            return self._binop(expr, ctx)
         if kind is A.Assign:
-            return self._eval_assign(expr, frame)
+            value_fn = self._expr(expr.value, ctx)
+            read, write = self._lvalue(expr.target, ctx)
+            apply = None if expr.op == "=" else self._apply(expr.op[0],
+                                                             expr.line)
+
+            def assign(f):
+                value = value_fn(f)
+                if apply is not None:
+                    value = apply(read(f), value)
+                write(f, value)
+                return value
+            return assign
         if kind is A.Call:
-            return self._eval_call(expr, frame)
+            return self._call(expr, ctx)
         if kind is A.UnOp:
-            return self._eval_unop(expr, frame)
+            return self._unop(expr, ctx)
         if kind is A.Cast:
-            self._charge("int_op")
-            return self._coerce(self._eval(expr.expr, frame), expr.type.name)
+            inner, conv = self._expr(expr.expr, ctx), _converter(expr.type.name)
+            return lambda f: charge("int_op") or conv(inner(f))
         if kind is A.Cond:
-            self._charge("branch")
-            if self._truthy(self._eval(expr.cond, frame)):
-                return self._eval(expr.then, frame)
-            return self._eval(expr.other, frame)
-        if kind is A.StringLit:
-            return expr.value
-        raise InterpError(f"unsupported expression {type(expr).__name__}")
+            cond, then = self._expr(expr.cond, ctx), self._expr(expr.then, ctx)
+            other = self._expr(expr.other, ctx)
+            return lambda f: charge("branch") or (
+                then(f) if cond(f) else other(f))
+        return _raiser(f"unsupported expression {kind.__name__}")
 
-    def _resolve_element(self, expr: A.Index, frame: "_Frame"):
-        array = frame.lookup(expr.base.name, expr.line)
-        if not isinstance(array, CArray):
-            raise InterpError(
-                f"line {expr.line}: {expr.base.name!r} is not an array"
-            )
-        idx = []
-        for index_expr in expr.indices:
-            self._charge("addr")
-            idx.append(int(self._eval(index_expr, frame)))
-        data = array.data
-        if len(idx) > data.ndim:
-            raise InterpError(
-                f"line {expr.line}: {expr.base.name!r} has {data.ndim} dims,"
-                f" indexed with {len(idx)}"
-            )
-        for axis, i in enumerate(idx):
-            if not (0 <= i < data.shape[axis]):
+    def _place(self, name: str, line: int, ctx: _Ctx):
+        """``(get, put)`` of a variable; ``put`` converts to its type."""
+        hit = ctx.resolve(name)
+        if hit is not None:
+            slot, conv = hit[0], _converter(hit[1])
+
+            def put(f, value):
+                f[slot] = conv(value)
+            return operator.itemgetter(slot), put
+        globs = self.globals
+        conv = _converter(self.global_types.get(name, "double"))
+
+        def get_global(f):
+            try:
+                return globs[name]
+            except KeyError:
                 raise InterpError(
-                    f"line {expr.line}: index {i} out of bounds for axis"
-                    f" {axis} of {expr.base.name!r} (size {data.shape[axis]})"
-                )
-        return array, tuple(idx)
+                    f"line {line}: undefined variable {name!r}") from None
 
-    def _eval_index_read(self, expr: A.Index, frame: "_Frame") -> Any:
-        array, idx = self._resolve_element(expr, frame)
-        if len(idx) < array.data.ndim:
-            # Partial indexing yields a row view (C array decay).
-            return CArray(array.data[idx], array.is_float)
-        self._charge("mem_load")
-        value = array.data[idx]
-        return float(value) if array.is_float else int(value)
+        def put_global(f, value):
+            if name not in globs:
+                raise InterpError(
+                    f"line {line}: assignment to undefined {name!r}")
+            globs[name] = conv(value)
+        return get_global, put_global
 
-    def _eval_binop(self, expr: A.BinOp, frame: "_Frame") -> Any:
-        op = expr.op
-        if op == "&&":
-            self._charge("branch")
-            left = self._eval(expr.left, frame)
-            if not self._truthy(left):
-                return 0
-            return 1 if self._truthy(self._eval(expr.right, frame)) else 0
-        if op == "||":
-            self._charge("branch")
-            left = self._eval(expr.left, frame)
-            if self._truthy(left):
-                return 1
-            return 1 if self._truthy(self._eval(expr.right, frame)) else 0
-        left = self._eval(expr.left, frame)
-        right = self._eval(expr.right, frame)
-        both_int = isinstance(left, int) and isinstance(right, int)
-        if op == "+":
-            self._charge("int_op" if both_int else "fp_add")
-            return left + right
-        if op == "-":
-            self._charge("int_op" if both_int else "fp_add")
-            return left - right
-        if op == "*":
-            self._charge("int_op" if both_int else "fp_mul")
-            return left * right
-        if op == "/":
-            self._charge("int_op" if both_int else "fp_div")
-            if both_int:
-                if right == 0:
-                    raise InterpError(f"line {expr.line}: integer division by zero")
-                return -(-left // right) if (left < 0) != (right < 0) else left // right
-            if right == 0.0:
-                return math.inf if left > 0 else (-math.inf if left < 0 else math.nan)
-            return left / right
-        if op == "%":
-            self._charge("int_op")
-            if not both_int:
-                raise InterpError(f"line {expr.line}: %% requires integers")
-            if right == 0:
-                raise InterpError(f"line {expr.line}: modulo by zero")
-            return int(math.fmod(left, right))
-        if op in ("<", "<=", ">", ">=", "==", "!="):
-            self._charge("int_op")
-            result = {
-                "<": left < right, "<=": left <= right,
-                ">": left > right, ">=": left >= right,
-                "==": left == right, "!=": left != right,
-            }[op]
-            return 1 if result else 0
-        if op in ("&", "|", "^", "<<", ">>"):
-            self._charge("int_op")
-            l, r = int(left), int(right)
-            return {
-                "&": l & r, "|": l | r, "^": l ^ r,
-                "<<": l << r, ">>": l >> r,
-            }[op]
-        raise InterpError(f"unsupported operator {op!r}")
+    def _element(self, expr: A.Index, ctx: _Ctx, write: bool = False):
+        """``base[i]...`` reader (a partial index decays to a row view)."""
+        name, line, charge = expr.base.name, expr.line, self._charge
+        get = self._place(name, line, ctx)[0]
+        idx_fns = [self._expr(e, ctx) for e in expr.indices]
+        n = len(idx_fns)
 
-    def _eval_unop(self, expr: A.UnOp, frame: "_Frame") -> Any:
-        op = expr.op
-        if op in ("++", "--"):
-            delta = 1 if op == "++" else -1
-            target = expr.operand
-            old = self._read_lvalue(target, frame)
-            self._charge("int_op" if isinstance(old, int) else "fp_add")
-            new = old + delta
-            self._write_lvalue(target, new, frame)
-            return old if expr.postfix else new
-        value = self._eval(expr.operand, frame)
-        if op == "-":
-            self._charge("int_op" if isinstance(value, int) else "fp_add")
-            return -value
-        if op == "!":
-            self._charge("int_op")
-            return 0 if self._truthy(value) else 1
-        if op == "~":
-            self._charge("int_op")
-            return ~int(value)
-        raise InterpError(f"unsupported unary {op!r}")
+        def locate(f):
+            """The array and its bounds-checked (maybe partial) index."""
+            array = get(f)
+            if not isinstance(array, CArray):
+                raise InterpError(f"line {line}: {name!r} is not an array")
+            # each index charges its address arithmetic before evaluating
+            idx = [charge("addr") or int(i(f)) for i in idx_fns]
+            data = array.data
+            if not (data.ndim == n and min(idx) >= 0
+                    and all(map(operator.lt, idx, data.shape))):
+                _check_index(data, idx, line, name)
+            return array, idx
 
-    def _read_lvalue(self, target: A.Expr, frame: "_Frame") -> Any:
-        if isinstance(target, A.Ident):
-            self._charge("scalar_load")
-            value = frame.lookup(target.name, target.line)
+        if write:
+            def store(f, value):
+                array, idx = locate(f)
+                if array.data.ndim != n:
+                    raise InterpError(
+                        f"line {line}: cannot assign to a whole row")
+                charge("mem_store")
+                array.data[tuple(idx)] = value
+            return store
+
+        def load(f):
+            array, idx = locate(f)
+            if array.data.ndim != n:
+                return CArray(array.data[tuple(idx)], array.is_float)
+            charge("mem_load")
+            value = array.data.item(*idx)
+            return float(value) if array.is_float else int(value)
+        return load
+
+    def _lvalue(self, target: A.Expr, ctx: _Ctx):
+        """``(read, write)`` closures for an assignment target."""
+        if type(target) is A.Index:
+            return (self._element(target, ctx),
+                    self._element(target, ctx, write=True))
+        if type(target) is not A.Ident:
+            bad = _raiser(f"line {target.line}: invalid lvalue")
+            return bad, bad
+        name, line, charge = target.name, target.line, self._charge
+        get, put = self._place(name, line, ctx)
+
+        def read(f):
+            charge("scalar_load")
+            value = get(f)
             if isinstance(value, CArray):
                 raise InterpError(
-                    f"line {target.line}: cannot use array {target.name!r}"
-                    " as a scalar"
-                )
+                    f"line {line}: cannot use array {name!r} as a scalar")
             return value
-        if isinstance(target, A.Index):
-            return self._eval_index_read(target, frame)
-        raise InterpError(f"line {target.line}: invalid lvalue")
+        return read, lambda f, value: charge("scalar_store") or put(f, value)
 
-    def _write_lvalue(self, target: A.Expr, value: Any, frame: "_Frame") -> None:
-        if isinstance(target, A.Ident):
-            self._charge("scalar_store")
-            frame.assign(target.name, value, target.line, self._coerce)
-            return
-        if isinstance(target, A.Index):
-            array, idx = self._resolve_element(target, frame)
-            if len(idx) != array.data.ndim:
-                raise InterpError(
-                    f"line {target.line}: cannot assign to a whole row"
-                )
-            self._charge("mem_store")
-            array.data[idx] = value
-            return
-        raise InterpError(f"line {target.line}: invalid assignment target")
+    def _apply(self, op: str, line: int) -> Callable:
+        """Charging ``(left, right) -> result`` of ``x op y`` / ``x op= y``."""
+        if op not in _BINARY:
+            return _raiser(f"unsupported operator {op!r}")
+        fn, fp_cat = _BINARY[op]
+        if fn is _c_div:
+            fn = functools.partial(_c_div, line=line, mod=op == "%")
+        charge = self._charge
 
-    def _eval_assign(self, expr: A.Assign, frame: "_Frame") -> Any:
-        value = self._eval(expr.value, frame)
-        if expr.op != "=":
-            old = self._read_lvalue(expr.target, frame)
-            binop = expr.op[0]
-            both_int = isinstance(old, int) and isinstance(value, int)
-            if binop == "+":
-                self._charge("int_op" if both_int else "fp_add")
-                value = old + value
-            elif binop == "-":
-                self._charge("int_op" if both_int else "fp_add")
-                value = old - value
-            elif binop == "*":
-                self._charge("int_op" if both_int else "fp_mul")
-                value = old * value
-            elif binop == "/":
-                self._charge("int_op" if both_int else "fp_div")
-                if both_int:
-                    if value == 0:
-                        raise InterpError(f"line {expr.line}: division by zero")
-                    q = old / value
-                    value = int(q) if q >= 0 else -int(-q)
-                else:
-                    value = old / value
-            elif binop == "%":
-                self._charge("int_op")
-                value = int(math.fmod(old, value))
-        self._write_lvalue(expr.target, value, frame)
-        return value
+        def apply(left, right):
+            both_int = isinstance(left, int) and isinstance(right, int)
+            charge("int_op" if both_int else fp_cat)
+            return fn(left, right)
+        return apply
+
+    def _binop(self, expr: A.BinOp, ctx: _Ctx) -> Callable:
+        left, right = self._expr(expr.left, ctx), self._expr(expr.right, ctx)
+        charge, op = self._charge, expr.op
+        if op in ("&&", "||"):
+            short = op == "||"  # the left value that decides alone
+
+            def logical(f):
+                charge("branch")
+                if bool(left(f)) is short:
+                    return int(short)
+                return 1 if right(f) else 0
+            return logical
+        apply = self._apply(op, expr.line)
+        return lambda f: apply(left(f), right(f))
+
+    def _unop(self, expr: A.UnOp, ctx: _Ctx) -> Callable:
+        op, charge = expr.op, self._charge
+        if op in ("++", "--"):
+            read, write = self._lvalue(expr.operand, ctx)
+            delta, postfix = (1 if op == "++" else -1), expr.postfix
+
+            def bump(f):
+                old = read(f)
+                charge("int_op" if isinstance(old, int) else "fp_add")
+                write(f, old + delta)
+                return old if postfix else old + delta
+            return bump
+        if op not in _UNARY:
+            return _raiser(f"unsupported unary {op!r}")
+        operand, (fn, fp_cat) = self._expr(expr.operand, ctx), _UNARY[op]
+
+        def unary(f):
+            value = operand(f)
+            charge("int_op" if isinstance(value, int) else fp_cat)
+            return fn(value)
+        return unary
 
     # -- calls -------------------------------------------------------------------
-    def _eval_call(self, expr: A.Call, frame: "_Frame") -> Any:
-        name = expr.name
-        if name in self.funcs:
-            self._charge("call")
-            args = [self._eval(a, frame) for a in expr.args]
-            return self.call_function(name, args)
-        if name in BUILTINS:
-            return self._eval_builtin(expr, frame)
-        if name in COMM_APIS:
-            return self._eval_comm(expr, frame)
-        if name == "papi_block_begin":
-            self.recorder.block_begin(int(self._const_arg(expr, 0)))
-            return 0
-        if name == "papi_block_end":
-            self.recorder.block_end(int(self._const_arg(expr, 0)))
-            return 0
-        if name == "dperf_region_begin":
-            self.recorder.region(self._string_arg(expr, 0), "begin")
-            return 0
-        if name == "dperf_region_end":
-            self.recorder.region(self._string_arg(expr, 0), "end")
-            return 0
-        raise InterpError(f"line {expr.line}: unknown function {name!r}")
-
-    def _const_arg(self, expr: A.Call, i: int) -> int:
-        arg = expr.args[i]
-        if not isinstance(arg, A.IntLit):
-            raise InterpError(f"line {expr.line}: {expr.name} needs int literal")
-        return arg.value
-
-    def _string_arg(self, expr: A.Call, i: int) -> str:
-        arg = expr.args[i]
-        if not isinstance(arg, A.StringLit):
-            raise InterpError(f"line {expr.line}: {expr.name} needs a string")
-        return arg.value
-
-    def _eval_builtin(self, expr: A.Call, frame: "_Frame") -> Any:
-        name = expr.name
+    def _call(self, expr: A.Call, ctx: _Ctx) -> Callable:
+        name, line, rec = expr.name, expr.line, self.recorder
+        args = [self._expr(a, ctx) for a in expr.args]
+        charge, literal = self._charge, expr.args[0] if expr.args else None
+        if name in self.program.func_names:
+            call = self.call_function
+            return lambda f: charge("call") or call(name, [a(f) for a in args])
         if name == "printf":
-            fmt = self._eval(expr.args[0], frame)
-            args = [self._eval(a, frame) for a in expr.args[1:]]
-            self._charge("builtin:printf")
-            self.output.append(_printf(fmt, args))
-            return 0
-        args = [self._eval(a, frame) for a in expr.args]
-        self._charge(f"builtin:{name}")
-        try:
-            if name == "fabs":
-                return abs(float(args[0]))
-            if name == "sqrt":
-                return math.sqrt(args[0])
-            if name == "exp":
-                return math.exp(args[0])
-            if name == "log":
-                return math.log(args[0])
-            if name == "pow":
-                return math.pow(args[0], args[1])
-            if name == "fmax":
-                return max(float(args[0]), float(args[1]))
-            if name == "fmin":
-                return min(float(args[0]), float(args[1]))
-            if name == "floor":
-                return math.floor(args[0])
-            if name == "ceil":
-                return math.ceil(args[0])
-            if name == "abs":
-                return abs(int(args[0]))
-        except ValueError as err:
-            raise InterpError(f"line {expr.line}: {name}: {err}") from None
-        raise InterpError(f"builtin {name!r} not implemented")  # pragma: no cover
+            def printf(f):
+                fmt, values = args[0](f), [arg(f) for arg in args[1:]]
+                charge("builtin:printf")
+                self.output.append(_printf(fmt, values))
+                return 0
+            return printf
+        if name in BUILTINS:
+            fn, key, arity = _MATH[name], f"builtin:{name}", BUILTINS[name]
 
-    def _eval_comm(self, expr: A.Call, frame: "_Frame") -> Any:
-        name = expr.name
+            def builtin(f):
+                values = [arg(f) for arg in args]
+                charge(key)
+                try:
+                    return fn(*values[:arity])
+                except ValueError as err:
+                    raise InterpError(f"line {line}: {name}: {err}") from None
+            return builtin
+        if name in COMM_APIS:
+            return self._comm(expr, args)
+        if name in ("papi_block_begin", "papi_block_end"):
+            if not isinstance(literal, A.IntLit):
+                return _raiser(f"line {line}: {name} needs int literal")
+            mark, bid = getattr(rec, name[len("papi_"):]), int(literal.value)
+            return lambda f: mark(bid) or 0
+        if name in ("dperf_region_begin", "dperf_region_end"):
+            if not isinstance(literal, A.StringLit):
+                return _raiser(f"line {line}: {name} needs a string")
+            which = name[len("dperf_region_"):]
+            return lambda f: rec.region(literal.value, which) or 0
+        return _raiser(f"line {line}: unknown function {name!r}")
+
+    def _comm(self, expr: A.Call, args: List[Callable]) -> Callable:
+        name, line, comm, rec = expr.name, expr.line, self.comm, self.recorder
         low = name.lower()
-        if low in ("p2psap_init", "p2psap_finalize"):
-            return 0
-        if low == "p2psap_rank":
-            return self.comm.rank
-        if low == "p2psap_size":
-            return self.comm.size
+        if low in ("p2psap_init", "p2psap_finalize", "p2psap_rank",
+                   "p2psap_size"):
+            value = {"p2psap_rank": comm.rank, "p2psap_size": comm.size}.get(low, 0)
+            return lambda f: value
         if low in ("p2psap_barrier", "mpi_barrier"):
-            self.recorder.comm(CommRecord(api=name, kind="barrier"))
-            self.comm.barrier()
-            return 0
+            record = CommRecord(api=name, kind="barrier")
+            return lambda f: rec.comm(record) or comm.barrier() or 0
         if low in ("p2psap_allreduce_max", "mpi_allreduce_max"):
-            value = float(self._eval(expr.args[0], frame))
-            self.recorder.comm(
-                CommRecord(api=name, kind="allreduce", count=1, elem_bytes=8)
-            )
-            return self.comm.allreduce_max(value)
-        if low in ("p2psap_send", "p2psap_isend", "mpi_send", "mpi_isend"):
-            dst = int(self._eval(expr.args[0], frame))
-            buf = self._array_arg(expr, 1, frame)
-            count = int(self._eval(expr.args[2], frame))
-            self._check_count(expr, buf, count)
-            kind = "isend" if "isend" in low else "send"
-            self.recorder.comm(
-                CommRecord(
-                    api=name, kind=kind, peer=dst, count=count,
-                    count_expr=expr.args[2], elem_bytes=8,
-                )
-            )
-            self.comm.data_send(dst, buf.data[:count], tag="m")
+            def allreduce(f):
+                value = float(args[0](f))
+                rec.comm(CommRecord(api=name, kind="allreduce", count=1,
+                                    elem_bytes=8))
+                return comm.allreduce_max(value)
+            return allreduce
+        kind = _MESSAGES.get(low)
+        if kind is None:
+            return _raiser(f"line {line}: comm API {name!r} not handled")
+        count_expr = expr.args[2] if len(expr.args) > 2 else None
+
+        def message(f):
+            peer, buf = int(args[0](f)), args[1](f)
+            if not isinstance(buf, CArray):
+                raise InterpError(
+                    f"line {line}: {name} argument 1 must be an array")
+            if buf.data.ndim != 1:
+                raise InterpError(f"line {line}: {name} needs a 1-D buffer "
+                                  "(pass a row, e.g. u[i])")
+            count = int(args[2](f))
+            if count < 0 or count > len(buf.data):
+                raise InterpError(f"line {line}: count {count} out of range"
+                                  f" for buffer of {len(buf.data)}")
+            rec.comm(CommRecord(api=name, kind=kind, peer=peer, count=count,
+                                count_expr=count_expr, elem_bytes=8))
+            if kind == "recv":
+                buf.data[:count] = comm.data_recv(peer, count, tag="m")
+            else:
+                comm.data_send(peer, buf.data[:count], tag="m")
             return 0
-        if low in ("p2psap_recv", "mpi_recv"):
-            src = int(self._eval(expr.args[0], frame))
-            buf = self._array_arg(expr, 1, frame)
-            count = int(self._eval(expr.args[2], frame))
-            self._check_count(expr, buf, count)
-            self.recorder.comm(
-                CommRecord(
-                    api=name, kind="recv", peer=src, count=count,
-                    count_expr=expr.args[2], elem_bytes=8,
-                )
-            )
-            data = self.comm.data_recv(src, count, tag="m")
-            buf.data[:count] = data
-            return 0
-        raise InterpError(f"line {expr.line}: comm API {name!r} not handled")
-
-    def _array_arg(self, expr: A.Call, i: int, frame: "_Frame") -> CArray:
-        value = self._eval(expr.args[i], frame)
-        if not isinstance(value, CArray):
-            raise InterpError(
-                f"line {expr.line}: {expr.name} argument {i} must be an array"
-            )
-        if value.data.ndim != 1:
-            raise InterpError(
-                f"line {expr.line}: {expr.name} needs a 1-D buffer "
-                "(pass a row, e.g. u[i])"
-            )
-        return value
-
-    @staticmethod
-    def _check_count(expr: A.Call, buf: CArray, count: int) -> None:
-        if count < 0 or count > len(buf.data):
-            raise InterpError(
-                f"line {expr.line}: count {count} out of range for buffer"
-                f" of {len(buf.data)}"
-            )
-
-
-class _Frame:
-    """Lexical scope chain for one function activation."""
-
-    __slots__ = ("values", "types", "parent_values", "parent_types", "_parent")
-
-    def __init__(self, values, types, parent_values=None, parent_types=None,
-                 parent: "Optional[_Frame]" = None):
-        self.values: Dict[str, Any] = values
-        self.types: Dict[str, str] = types
-        self.parent_values = parent_values
-        self.parent_types = parent_types
-        self._parent = parent
-
-    def child(self) -> "_Frame":
-        return _Frame({}, {}, self.parent_values, self.parent_types, parent=self)
-
-    def declare(self, name: str, value: Any, type_name: str) -> None:
-        self.values[name] = value
-        self.types[name] = type_name
-
-    def _find(self, name: str) -> Optional["_Frame"]:
-        frame: Optional[_Frame] = self
-        while frame is not None:
-            if name in frame.values:
-                return frame
-            frame = frame._parent
-        return None
-
-    def lookup(self, name: str, line: int) -> Any:
-        frame = self._find(name)
-        if frame is not None:
-            return frame.values[name]
-        if self.parent_values is not None and name in self.parent_values:
-            return self.parent_values[name]
-        raise InterpError(f"line {line}: undefined variable {name!r}")
-
-    def assign(self, name: str, value: Any, line: int, coerce) -> None:
-        frame = self._find(name)
-        if frame is not None:
-            frame.values[name] = coerce(value, frame.types[name])
-            return
-        if self.parent_values is not None and name in self.parent_values:
-            self.parent_values[name] = coerce(
-                value, self.parent_types.get(name, "double")
-            )
-            return
-        raise InterpError(f"line {line}: assignment to undefined {name!r}")
+        return message
 
 
 def _printf(fmt: str, args: List[Any]) -> str:
     """Minimal C printf semantics for trace/debug output."""
-    out = []
     arg_iter = iter(args)
 
     def repl(match: re.Match) -> str:
-        spec = match.group(0)
-        conv = match.group(1)
+        spec, conv = match.group(0), match.group(1)
         if conv == "%":
             return "%"
         try:
@@ -799,8 +799,8 @@ def _printf(fmt: str, args: List[Any]) -> str:
         if conv in "dix":
             return (spec[:-1] + conv.replace("i", "d")) % int(value)
         if conv in "ufgGeE":
-            pyspec = spec[:-1] + conv.replace("u", "d")
-            return pyspec % (int(value) if conv == "u" else float(value))
+            return (spec[:-1] + conv.replace("u", "d")) % (
+                int(value) if conv == "u" else float(value))
         if conv == "s":
             return spec % str(value)
         return spec  # pragma: no cover
@@ -824,6 +824,17 @@ class RankRun:
     block_exec_counts: Dict[int, int] = field(default_factory=dict)
 
 
+def _run_rank(program: A.Program, entry: str, args: Sequence[Any],
+              comm: Any, block_table: Optional[BlockTable],
+              max_steps: Optional[int]) -> RankRun:
+    recorder = SkeletonRecorder(comm.rank)
+    interp = Interp(program, recorder, comm, block_table, max_steps)
+    value = interp.call_function(entry, list(args))
+    entries = recorder.finish()
+    return RankRun(comm.rank, entries, value, interp.output,
+                   recorder.total_census(), recorder.block_exec_counts)
+
+
 def run_single(
     program: A.Program,
     entry: str,
@@ -832,12 +843,7 @@ def run_single(
     max_steps: Optional[int] = None,
 ) -> RankRun:
     """Run a program single-rank (rank 0 of 1)."""
-    recorder = SkeletonRecorder(0)
-    interp = Interp(program, recorder, NullComm(), block_table, max_steps)
-    value = interp.call_function(entry, list(args))
-    entries = recorder.finish()
-    return RankRun(0, entries, value, interp.output,
-                   recorder.total_census(), recorder.block_exec_counts)
+    return _run_rank(program, entry, args, NullComm(), block_table, max_steps)
 
 
 def run_distributed(
@@ -847,46 +853,40 @@ def run_distributed(
     args: Sequence[Any] | Callable[[int], Sequence[Any]] = (),
     block_table: Optional[BlockTable] = None,
     max_steps: Optional[int] = None,
-    timeout: float = 300.0,
 ) -> List[RankRun]:
-    """Execute ``nprocs`` ranks (one thread each) with real messaging.
+    """Execute ``nprocs`` ranks with real messaging, one at a time.
 
-    ``args`` is either a fixed argument list or ``rank -> args``.
-    Raises the first rank's error if any rank fails.
+    ``args`` is either a fixed argument list or ``rank -> args``.  If
+    any rank fails, raises the first failed rank's own error (ranks it
+    left blocked fail with the deadlock report).
     """
     if nprocs < 1:
         raise ValueError("nprocs must be >= 1")
-    shared = _SharedComm(nprocs, timeout)
+    baton = _Baton(nprocs)
     results: List[Optional[RankRun]] = [None] * nprocs
     errors: List[Optional[BaseException]] = [None] * nprocs
 
     def worker(rank: int) -> None:
-        recorder = SkeletonRecorder(rank)
-        comm = ThreadedComm(rank, nprocs, shared)
-        interp = Interp(program, recorder, comm, block_table, max_steps)
-        rank_args = args(rank) if callable(args) else list(args)
+        baton.locks[rank].acquire()
         try:
-            value = interp.call_function(entry, rank_args)
-            entries = recorder.finish()
-            results[rank] = RankRun(
-                rank, entries, value, interp.output,
-                recorder.total_census(), recorder.block_exec_counts,
-            )
+            results[rank] = _run_rank(
+                program, entry, args(rank) if callable(args) else args,
+                RankComm(rank, nprocs, baton), block_table, max_steps)
         except BaseException as err:  # noqa: BLE001 - funneled to caller
             errors[rank] = err
-            shared.barrier.abort()
+        finally:
+            baton.finish(rank)
 
-    threads = [
-        threading.Thread(target=worker, args=(r,), name=f"minic-rank{r}")
-        for r in range(nprocs)
-    ]
+    threads = [threading.Thread(target=worker, args=(r,), daemon=True,
+                                name=f"minic-rank{r}") for r in range(nprocs)]
     for t in threads:
         t.start()
+    baton.locks[0].release()
     for t in threads:
-        t.join(timeout=timeout + 30.0)
-        if t.is_alive():
-            raise InterpError("distributed run did not terminate (deadlock?)")
-    for rank, err in enumerate(errors):
-        if err is not None:
-            raise InterpError(f"rank {rank} failed: {err}") from err
-    return [r for r in results if r is not None]
+        t.join()
+    failed = [(r, e) for r, e in enumerate(errors) if e is not None]
+    if failed:  # report a rank's own error over the deadlocks it caused
+        own = [(r, e) for r, e in failed if not isinstance(e, _Deadlock)]
+        rank, err = (own or failed)[0]
+        raise InterpError(f"rank {rank} failed: {err}") from err
+    return results

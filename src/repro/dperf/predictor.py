@@ -94,7 +94,6 @@ class DPerfPredictor:
         nprocs: int,
         args: Sequence | Callable[[int], Sequence] = (),
         max_steps: Optional[int] = None,
-        timeout: float = 300.0,
     ) -> List[RankRun]:
         """Run the instrumented code on ``nprocs`` ranks (calibration)."""
         if nprocs == 1:
@@ -107,7 +106,7 @@ class DPerfPredictor:
             ]
         return run_distributed(
             self.instrumented, self.entry, nprocs, args,
-            self.block_table, max_steps, timeout,
+            self.block_table, max_steps,
         )
 
     # -- stage 4: trace generation ------------------------------------------------

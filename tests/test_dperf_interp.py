@@ -1,5 +1,8 @@
 """Interpreter correctness: semantics, accounting, multi-rank runs."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.dperf import InterpError, run_distributed, run_single
@@ -8,6 +11,23 @@ from repro.dperf.minic import parse
 
 def run(src, entry="main", args=(), **kw):
     return run_single(parse(src), entry, args, **kw)
+
+
+def bounded(fn, seconds):
+    """``fn()``'s (result, error), asserting it returned within ``seconds``."""
+    box = {}
+
+    def target():
+        try:
+            box["result"] = fn()
+        except Exception as err:  # noqa: BLE001 - handed to the test
+            box["error"] = err
+
+    worker = threading.Thread(target=target, daemon=True)
+    worker.start()
+    worker.join(timeout=seconds)
+    assert not worker.is_alive(), f"did not return within {seconds}s"
+    return box.get("result"), box.get("error")
 
 
 class TestScalars:
@@ -60,6 +80,25 @@ class TestScalars:
 
     def test_globals(self):
         assert run("int g = 7; int main() { g += 1; return g; }").value == 8
+
+    def test_integer_division_and_modulo_are_exact(self):
+        # 2**53 + 1 is not a double: float math would round it
+        big = 9007199254740993
+        assert run(f"long main() {{ long x = {big}; x /= 1; return x; }}"
+                   ).value == big
+        assert run(f"long main() {{ long x = {big}; return x % 2; }}"
+                   ).value == 1
+        assert run(f"long main() {{ long x = {big}; x %= 2; return x; }}"
+                   ).value == 1
+        assert run(f"long main() {{ long x = -{big}; x /= 3; return x; }}"
+                   ).value == -(big // 3)
+        # C truncation, the same for the compound and binary forms
+        assert run("int main() { int a = -7; a /= 2; int b = -7; b %= 3;"
+                   " return a * 10 + b; }").value == -31
+
+    def test_compound_modulo_by_zero_is_an_error(self):
+        with pytest.raises(InterpError, match="modulo by zero"):
+            run("int main() { int x = 5; int z = 0; x %= z; return x; }")
 
 
 class TestControlFlow:
@@ -273,7 +312,7 @@ class TestDistributed:
         }
         """
         with pytest.raises(InterpError, match="count"):
-            run_distributed(parse(src), "main", 2, timeout=10.0)
+            run_distributed(parse(src), "main", 2)
 
     def test_rank_failure_reported_not_hung(self):
         src = """
@@ -284,7 +323,68 @@ class TestDistributed:
         }
         """
         with pytest.raises(InterpError, match="rank 1|barrier"):
-            run_distributed(parse(src), "main", 2, timeout=10.0)
+            run_distributed(parse(src), "main", 2)
+
+    def test_recv_deadlock_names_both_waits(self):
+        src = """
+        int main() {
+            double buf[1];
+            int peer = 1 - p2psap_rank();
+            p2psap_recv(peer, buf, 1);
+            p2psap_send(peer, buf, 1);
+            return 0;
+        }
+        """
+        _, err = bounded(lambda: run_distributed(parse(src), "main", 2), 1.0)
+        assert isinstance(err, InterpError)
+        assert "deadlock: rank 0 waits in recv from rank 1" in str(err)
+        assert "rank 1 waits in recv from rank 0" in str(err)
+
+    def test_barrier_against_recv_deadlock_names_both_waits(self):
+        src = """
+        int main() {
+            double buf[1];
+            if (p2psap_rank() == 0) { p2psap_barrier(); }
+            else { p2psap_recv(0, buf, 1); }
+            return 0;
+        }
+        """
+        _, err = bounded(lambda: run_distributed(parse(src), "main", 2), 1.0)
+        assert isinstance(err, InterpError)
+        assert "deadlock: rank 0 waits at barrier for ranks [1]" in str(err)
+        assert "rank 1 waits in recv from rank 0" in str(err)
+
+    def test_many_ranks_under_fast_thread_switching(self):
+        # more rank threads than cores, and the interpreter asked to
+        # switch threads every microsecond: the baton must still run
+        # one rank at a time, or channels and collectives lose updates
+        src = """
+        double main(int rounds) {
+            int rank = p2psap_rank();
+            int size = p2psap_size();
+            double buf[1];
+            double acc = 0.0;
+            for (int it = 0; it < rounds; it++) {
+                buf[0] = (double)(rank + it);
+                p2psap_send((rank + 1) % size, buf, 1);
+                p2psap_recv((rank + size - 1) % size, buf, 1);
+                acc += buf[0];
+                p2psap_barrier();
+            }
+            return p2psap_allreduce_max(acc);
+        }
+        """
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs, err = bounded(
+                lambda: run_distributed(parse(src), "main", 16, args=[20]),
+                30.0)
+        finally:
+            sys.setswitchinterval(old)
+        assert err is None
+        # rank 0 receives 15 + it from rank 15 every round
+        assert [r.value for r in runs] == [20 * 15 + sum(range(20))] * 16
 
     def test_per_rank_args_callable(self):
         src = "int main(int x) { return x * 10; }"
