@@ -10,11 +10,6 @@ recorded dev-machine baseline are informational; the *enforced*
 regression guard is machine-independent: the total ``sim_events``
 over each grid must equal the recorded value exactly — the fast core
 must never change which events execute.
-
-``test_shard_merge_smoke`` runs a tiny sweep as two shards through
-the real CLI and asserts the merged manifest is byte-identical to the
-unsharded one — the cross-machine workflow of docs/sharding.md in
-miniature.
 """
 
 import json
@@ -67,24 +62,3 @@ def test_reference_grids():
     ))
     append_bench_record("reference_grids", record)
 
-
-def test_shard_merge_smoke(tmp_path):
-    from repro.scenarios.cli import main
-
-    sets = [
-        "--set", "workload.app=heat", "--set", "workload.n=64",
-        "--set", "workload.nit=30", "--set", "workload.level=O0,O1",
-        "--set", "n_peers=2,4",
-    ]
-    plain = tmp_path / "plain"
-    sharded = tmp_path / "sharded"
-    assert main(["sweep", "fig10-cluster-o3", "--serial", "--label", "tiny",
-                 "--cache-dir", str(plain)] + sets) == 0
-    for shard in ("0/2", "1/2"):
-        assert main(["sweep", "fig10-cluster-o3", "--serial",
-                     "--label", "tiny", "--cache-dir", str(sharded),
-                     "--shard", shard] + sets) == 0
-    assert main(["merge-shards", "tiny", "--cache-dir", str(sharded)]) == 0
-    merged = (sharded / "sweeps" / "tiny.json").read_bytes()
-    unsharded = (plain / "sweeps" / "tiny.json").read_bytes()
-    assert merged == unsharded, "merged shard manifest is not byte-identical"

@@ -7,8 +7,8 @@
   dead workers' points, writes the byte-identical sweep manifest.
 - :mod:`repro.fleet.store` — append-only cross-sweep result index
   (``<cache>/store/index.jsonl``) with a persistent offset sidecar
-  and ``store compact``, behind ``fleet compare --html``,
-  ``fleet backfill`` and the serve daemon's store tier.
+  and ``store compact``, behind ``fleet compare --html`` and the
+  serve daemon's store tier.
 - :mod:`repro.fleet.telemetry` — per-worker throughput rows and
   straggler flagging behind ``fleet stats``.
 """

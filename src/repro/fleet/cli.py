@@ -7,7 +7,6 @@
         --set n_peers=2,4,8 --set seed=2011,2013 --label churn-b
     python -m repro.fleet worker --fleet-dir .scenario-cache/fleet/churn-b
     python -m repro.fleet stats churn-b
-    python -m repro.fleet backfill
     python -m repro.fleet store
     python -m repro.fleet store compact
     python -m repro.fleet compare churn-a churn-b --html report.html
@@ -17,30 +16,35 @@
 resolves cache hits in-process, and hands the remaining points to a
 work-stealing worker fleet — local processes it spawns, plus any
 remote ``worker`` attached to the same fleet directory over a shared
-mount.  The resulting manifest is byte-identical to an unsharded
-serial sweep of the same grid.
+mount.  The resulting manifest is byte-identical to a serial sweep of
+the same grid.  The fleet is the one way to split a grid across
+machines.
 
-``backfill`` absorbs pre-store sweep manifests into the consolidated
-``<cache>/store/index.jsonl``; ``store`` lists what the index holds
-and ``store compact`` rewrites it newest-per-key; ``stats`` prints a
-live per-worker throughput view of a fleet directory with stragglers
-flagged; ``compare`` diffs two labels **from the store** (falling
-back to sweep manifests for labels never indexed) and can render a
-static HTML regression report with ``--html``.
+``store`` lists what the consolidated ``<cache>/store/index.jsonl``
+holds (every label a fleet recorded) and ``store compact`` rewrites
+it newest-per-key; ``stats`` prints a live per-worker throughput view
+of a fleet directory with stragglers flagged; ``compare`` diffs two
+labels **from the store** (falling back to sweep manifests for
+serial-sweep labels) and can render a static HTML regression report
+with ``--html``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Sequence
 
 from ..params import parse_grid_sets
-from ..scenarios.cli import DEFAULT_CACHE_DIR, _load_manifest, _UsageError
-from ..scenarios.manifest import sweeps_dir
+from ..scenarios.cli import (
+    DEFAULT_CACHE_DIR,
+    _check_label,
+    _load_manifest,
+    _resolve,
+    _UsageError,
+    report_comparison,
+)
 from ..scenarios.registry import get_scenario
 from ..scenarios.runner import expand_grid
 from .dispatcher import FleetDispatcher, FleetError, FleetOutcome
@@ -53,13 +57,6 @@ from .protocol import (
 from .store import ResultStore
 from .telemetry import fleet_stats, format_stats
 from .worker import FleetWorker
-
-
-def _resolve(fn, *args):
-    try:
-        return fn(*args)
-    except KeyError as exc:
-        raise _UsageError(exc.args[0]) from None
 
 
 def _print_outcome(outcome: FleetOutcome) -> None:
@@ -101,9 +98,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     specs = (_resolve(expand_grid, entry.base, grid) if grid
              else entry.points())
     label = args.label or entry.name
-    if not label or label != Path(label).name or label in (".", ".."):
-        raise _UsageError(f"--label must be a plain file name, "
-                          f"got {label!r}")
+    _check_label(label)
     try:
         dispatcher = FleetDispatcher(
             specs, label=label, scenario=entry.name,
@@ -137,18 +132,6 @@ def cmd_worker(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_backfill(args: argparse.Namespace) -> int:
-    store = ResultStore(args.cache_dir)
-    stats = store.backfill(sweeps_dir(args.cache_dir))
-    print(f"# backfill: {stats['points']} points indexed from "
-          f"{stats['absorbed']} manifests "
-          f"({stats['already_indexed']} already indexed, "
-          f"{stats['skipped_manifests']} skipped, "
-          f"{store.skipped} duplicate points)")
-    print(f"# store: {len(store)} records at {store.index_path}")
-    return 0
-
-
 def cmd_store(args: argparse.Namespace) -> int:
     store = ResultStore(args.cache_dir)
     if args.action == "compact":
@@ -161,8 +144,8 @@ def cmd_store(args: argparse.Namespace) -> int:
         return 0
     labels = store.labels()
     if not labels:
-        print(f"# store is empty ({store.index_path}); run a fleet or "
-              f"`python -m repro.fleet backfill`")
+        print(f"# store is empty ({store.index_path}); run a fleet "
+              f"first (`python -m repro.fleet run`)")
         return 0
     width = max(len(label) for label in labels)
     for label in sorted(labels):
@@ -207,44 +190,17 @@ def _html_worker_stats(label: str, cache_dir: str):
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    from ..analysis import compare_sweeps
-
     store = ResultStore(args.cache_dir)
     a = _sweep_data(args.a, store, args.cache_dir)
     b = _sweep_data(args.b, store, args.cache_dir)
-    percentiles: Tuple[float, ...] = ()
-    if args.percentiles:
-        try:
-            percentiles = tuple(
-                float(p) for p in args.percentiles.split(",") if p.strip()
-            )
-        except ValueError:
-            raise _UsageError(
-                f"--percentiles expects comma-separated numbers, "
-                f"got {args.percentiles!r}"
-            ) from None
-    try:
-        comparison = compare_sweeps(a, b, metric=args.metric,
-                                    over=tuple(args.over or ()),
-                                    percentiles=percentiles)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-    if args.html:
-        # worker rows come from the candidate label's fleet dir,
-        # falling back to the baseline's (whichever was fleet-run)
-        stats = _html_worker_stats(args.b, args.cache_dir) \
-            or _html_worker_stats(args.a, args.cache_dir)
-        Path(args.html).write_text(comparison.to_html(worker_stats=stats))
-        print(f"# HTML report written to {args.html}")
-        return 0
-    text = (comparison.to_json() if args.format == "json"
-            else comparison.to_markdown())
-    if args.out:
-        Path(args.out).write_text(text)
-        print(f"# report written to {args.out}")
-    else:
-        print(text, end="")
-    return 0
+    if not args.html:
+        return report_comparison(a, b, args, args.format, args.out)
+    # worker rows come from the candidate label's fleet dir, falling
+    # back to the baseline's (whichever was fleet-run)
+    stats = _html_worker_stats(args.b, args.cache_dir) \
+        or _html_worker_stats(args.a, args.cache_dir)
+    return report_comparison(a, b, args, "html", args.html,
+                             worker_stats=stats)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -307,12 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default=HEARTBEAT_INTERVAL)
     worker.add_argument("--poll-interval", type=float, default=0.1)
 
-    backfill = sub.add_parser(
-        "backfill",
-        help="absorb historical sweep manifests into the store index",
-    )
-    add_cache_dir(backfill)
-
     store = sub.add_parser(
         "store", help="list the consolidated store's labels, or "
                       "compact its index"
@@ -364,7 +314,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     handler = {
         "run": cmd_run,
         "worker": cmd_worker,
-        "backfill": cmd_backfill,
         "store": cmd_store,
         "stats": cmd_stats,
         "compare": cmd_compare,

@@ -1,10 +1,10 @@
 """The work-stealing dispatcher: points out, liveness in, one manifest.
 
-``FleetDispatcher`` replaces static ``--shard i/N`` partitioning with
-dynamic stealing: every grid point is an individually claimable task
-in a shared fleet directory, local worker processes are spawned (and
-respawned) by the dispatcher, and remote machines join by pointing
-``python -m repro.fleet worker`` at the same directory.  A slow
+``FleetDispatcher`` is the one way to split a grid across machines,
+by dynamic stealing: every grid point is an individually claimable
+task in a shared fleet directory, local worker processes are spawned
+(and respawned) by the dispatcher, and remote machines join by
+pointing ``python -m repro.fleet worker`` at the same directory.  A slow
 worker strands nothing — whatever it doesn't claim, someone else
 does; a *dead* worker's claimed points are detected by heartbeat
 silence and requeued with exponential backoff; a point that keeps
@@ -13,7 +13,7 @@ reported, never retried forever.
 
 The output contract is the sweep's: the dispatcher writes a sweep
 manifest through the shared canonical serializer, **byte-identical**
-to the manifest an unsharded serial sweep of the same grid produces
+to the manifest a serial sweep of the same grid produces
 (pinned by ``tests/test_fleet.py``), and syncs every result into the
 consolidated :class:`~repro.fleet.store.ResultStore`.  If any point
 was quarantined the manifest is marked ``"partial": true`` — the same

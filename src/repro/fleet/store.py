@@ -11,10 +11,7 @@ asset:
 - ``fleet compare A B --html`` renders a regression report between
   any two labels ever recorded, without re-reading their manifests;
 - the serve daemon probes the store as an extra resolution tier, so a
-  result computed by *any* fleet or backfilled from *any* old
-  manifest warms SLO queries;
-- ``fleet backfill`` absorbs pre-store sweep manifests, so history
-  written before the index existed joins it.
+  result computed by *any* fleet warms SLO queries.
 
 Appends are one ``O_APPEND`` write of one line per record — safe
 under concurrent fleet workers on a local filesystem — and readers
@@ -115,7 +112,8 @@ class ResultStore:
         })
 
     def record_raw(self, record: Dict[str, Any]) -> bool:
-        """Append a pre-shaped record (``backfill`` path); dedup'd.
+        """Append a pre-shaped record (the dispatcher's finalize
+        sync); dedup'd.
 
         Dedup consults the sidecar refreshed to the index's current
         tail, so records landed by *other* processes since this store
@@ -436,51 +434,3 @@ class ResultStore:
         # (and persist) against the compacted file
         self._rebuild_sidecar(generation)
         return stats
-
-    # -- backfill -----------------------------------------------------------
-    def backfill(self, sweeps: os.PathLike | str) -> Dict[str, int]:
-        """Absorb every complete sweep manifest under ``sweeps``.
-
-        Partial manifests (killed sweeps) and shard manifests are
-        skipped — the store indexes *finished* sweeps; merge or rerun
-        first.  Returns ``{"manifests", "absorbed",
-        "already_indexed", "points", "skipped_manifests"}``:
-        ``absorbed`` counts manifests that contributed at least one
-        new record, ``already_indexed`` those whose every point was
-        already present (a rerun is reported as such, not as fresh
-        work), and ``manifests`` is their sum.
-        """
-        sweeps = Path(sweeps)
-        absorbed = already = points = skipped = 0
-        if not sweeps.is_dir():
-            return {"manifests": 0, "absorbed": 0, "already_indexed": 0,
-                    "points": 0, "skipped_manifests": 0}
-        for path in sorted(sweeps.glob("*.json")):
-            try:
-                payload = json.loads(path.read_text())
-            except (OSError, ValueError):
-                skipped += 1
-                continue
-            if (not isinstance(payload, dict) or "points" not in payload
-                    or "label" not in payload or payload.get("partial")
-                    or "shard" in payload):
-                skipped += 1
-                continue
-            new_points = 0
-            for entry in payload["points"]:
-                if self.record_raw({
-                    "spec_hash": entry["spec_hash"],
-                    "name": entry["name"],
-                    "label": payload["label"],
-                    "scenario": payload.get("scenario", ""),
-                    "result": entry["result"],
-                }):
-                    new_points += 1
-            if new_points:
-                absorbed += 1
-                points += new_points
-            else:
-                already += 1
-        return {"manifests": absorbed + already, "absorbed": absorbed,
-                "already_indexed": already, "points": points,
-                "skipped_manifests": skipped}

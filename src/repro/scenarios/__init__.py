@@ -28,8 +28,6 @@ from .runner import (
     expand_grid,
     run_cached,
     run_scenario,
-    shard_indices,
-    shard_specs,
 )
 from .spec import (
     ChurnEventSpec,
@@ -63,7 +61,5 @@ __all__ = [
     "run_cached",
     "run_scenario",
     "scenario_names",
-    "shard_indices",
-    "shard_specs",
     "spread_hosts",
 ]

@@ -1,17 +1,15 @@
 """Sweep-manifest serialization — the byte-identity substrate.
 
-One canonical payload shape and one canonical serializer for every
-writer of sweep manifests: the sweep CLI, ``merge-shards``, and the
-fleet dispatcher.  Merged shard manifests and fleet manifests must be
-*byte-identical* to the manifest an unsharded serial sweep writes, so
-every producer has to flow through these helpers — a second
+One canonical payload shape and one canonical serializer for both
+writers of sweep manifests: the sweep CLI and the fleet dispatcher.
+Fleet manifests must be *byte-identical* to the manifest a serial
+sweep writes, so both producers flow through these helpers — a second
 serializer would be a second chance to drift.
 
 A manifest is ``{"label", "scenario", "points": [{"name",
 "spec_hash", "result"}, ...]}`` in grid order, dumped with
-``indent=1, sort_keys=True`` via the atomic-write primitive.  Shard
-manifests add per-point grid indices and a ``shard`` geometry block;
-in-flight manifests add ``"partial": true``.
+``indent=1, sort_keys=True`` via the atomic-write primitive.
+In-flight manifests add ``"partial": true``.
 """
 
 from __future__ import annotations

@@ -451,7 +451,7 @@ def atomic_write_bytes(path: os.PathLike | str, blob: bytes) -> None:
 
     The one atomic-write primitive for every on-disk store in the
     sweep stack (results, manifests, traces, bench trajectories):
-    readers racing the write — concurrent shards sharing a cache
+    readers racing the write — fleet workers sharing a cache
     directory, a ``compare`` during a sweep — see either the old file
     or the complete new one, never a truncated file.
     """
@@ -482,7 +482,7 @@ class JsonCache:
     scenario results here, SLO answers in ``repro.serve`` — factored
     so each tier inherits the same contract: atomic writes (tempfile +
     ``os.replace``, so concurrent readers never see a truncated
-    entry), torn-entry-reads-as-miss, and union-by-file-copy merging.
+    entry) and torn-entry-reads-as-miss.
     The directory is opened (and created) exactly once, at
     construction; ``disk_reads``/``disk_writes`` count every
     filesystem touch afterwards, which is what lets the serve tier
@@ -555,25 +555,6 @@ class JsonCache:
             json.dumps(payload, sort_keys=True, indent=1),
         )
 
-    def absorb(self, other_root: os.PathLike | str) -> int:
-        """Union another cache directory into this one (file copy).
-
-        Entries are content-addressed, so identical hashes mean
-        identical content — existing files are kept, new ones are
-        copied atomically.  Returns the number of entries copied.
-        """
-        copied = 0
-        other = Path(other_root)
-        if not other.is_dir():
-            return 0
-        for src in sorted(other.glob("*.json")):
-            dst = self.root / src.name
-            if dst.exists():
-                continue
-            atomic_write_text(dst, src.read_text())
-            copied += 1
-        return copied
-
     def __len__(self) -> int:
         return sum(1 for _ in self.root.glob("*.json"))
 
@@ -582,10 +563,8 @@ class ResultCache(JsonCache):
     """On-disk JSON cache: one ``<spec-hash>.json`` file per result.
 
     Each entry stores the full spec alongside the result; a hash
-    collision or a stale schema is treated as a miss.  Because entries
-    are content-addressed, merging two caches is a plain file copy
-    (see ``merge-shards``).  Atomicity, miss semantics and the I/O
-    counters come from :class:`JsonCache`.
+    collision or a stale schema is treated as a miss.  Atomicity,
+    miss semantics and the I/O counters come from :class:`JsonCache`.
 
     ``on_put`` is the consolidated-store index hook: when set (fleet
     workers point it at :class:`repro.fleet.store.ResultStore`), every
@@ -690,7 +669,7 @@ def _pool_run(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Worker entry point: rebuild the spec, run it, ship plain data.
 
     The worker writes its own result into the shared on-disk cache
-    *before* returning, so a killed sweep (or shard) resumes from
+    *before* returning, so a killed sweep resumes from
     everything it completed rather than recomputing the whole grid.
     """
     from . import workloads
@@ -702,35 +681,6 @@ def _pool_run(payload: Dict[str, Any]) -> Dict[str, Any]:
     cache_dir = payload.get("cache_dir")
     cache = ResultCache(cache_dir) if cache_dir else None
     return run_cached(spec, cache).to_dict()
-
-
-def shard_indices(
-    specs: Sequence[ScenarioSpec], index: int, count: int
-) -> List[int]:
-    """Positions of shard ``index`` (0-based) of ``count`` in ``specs``.
-
-    Partitioning is by spec hash — a pure function of each point, so
-    every machine derives the same split from the same grid without
-    coordination, and relabelling a sweep never moves points between
-    shards.  This is the single owner of the partition predicate; the
-    CLI and :func:`shard_specs` both derive from it.
-    """
-    if count < 1:
-        raise ValueError(f"shard count must be >= 1, got {count}")
-    if not 0 <= index < count:
-        raise ValueError(
-            f"shard index must be in [0, {count}), got {index}"
-        )
-    return [i for i, s in enumerate(specs)
-            if int(s.spec_hash(), 16) % count == index]
-
-
-def shard_specs(
-    specs: Sequence[ScenarioSpec], index: int, count: int
-) -> List[ScenarioSpec]:
-    """The shard ``index`` (0-based) of ``count`` for a spec list
-    (input order preserved within the shard; see :func:`shard_indices`)."""
-    return [specs[i] for i in shard_indices(specs, index, count)]
 
 
 class SweepRunner:

@@ -607,8 +607,8 @@ class ScenarioSpec:
         """Stable 16-hex-digit content hash of this spec.
 
         Memoized per instance (the spec is frozen, so the hash cannot
-        change): sweep bookkeeping — cache lookups, shard partitioning,
-        incremental manifests — asks for it repeatedly, and the
+        change): sweep bookkeeping — cache lookups, fleet task
+        files, incremental manifests — asks for it repeatedly, and the
         ``asdict`` walk underneath is not free.
         """
         cached = self.__dict__.get("_spec_hash")

@@ -128,8 +128,8 @@ def scale_plan(app: str, nprocs: int, n: int, nit: int) -> ScalePlan:
 #: Directory for the persistent trace cache, or ``None`` (disabled).
 #: Trace generation is the cold-start cost every sweep worker pays
 #: (mini-C calibration ≈ seconds per (app, nprocs)); the disk cache
-#: makes it a one-time cost shared across processes, shards and — with
-#: a copied cache directory — machines.  Entries are pickles of pure
+#: makes it a one-time cost shared across processes and — over a shared
+#: or copied cache directory — machines.  Entries are pickles of pure
 #: deterministic data, keyed by a content hash of the full trace
 #: recipe, so a shared directory is safe to union by file copy.
 _TRACE_CACHE_DIR: Optional[Path] = (

@@ -153,8 +153,7 @@ class QueryEngine:
                 root / "answers"
             )
             # the consolidated cross-sweep index: results computed by
-            # any fleet — or `fleet backfill`ed from any historical
-            # manifest — resolve here without re-simulating
+            # any fleet resolve here without re-simulating
             self.result_store: Optional[ResultStore] = ResultStore(root)
             workloads.set_trace_cache_dir(root / "traces")
         else:

@@ -6,9 +6,9 @@ Contracts pinned here:
   winner per point;
 - **store appends are deduplicated and torn-tolerant** — one record
   per (label, spec hash), readers skip a killed writer's trailing
-  line, ``backfill`` absorbs only complete non-shard manifests;
+  line;
 - **byte-identity** — a fleet run's manifest is byte-for-byte the
-  manifest a serial unsharded sweep writes;
+  manifest a serial sweep writes;
 - **fault paths** — a worker SIGKILLed mid-point is detected and its
   point reassigned *exactly once* with no duplicate store/cache
   writes; a point that keeps killing workers is quarantined as poison
@@ -44,7 +44,7 @@ from repro.scenarios.cli import main as scenarios_main
 from repro.scenarios.runner import ResultCache, clear_memo
 from repro.scenarios.spec import PlatformPlan, ScenarioSpec
 
-#: The cheap all-deploy grid of test_sharding.py: 12 points, each only
+#: The cheap all-deploy grid of test_scenarios.py: 12 points, each only
 #: builds and settles a small overlay (~tens of ms).
 DEPLOY_ARGS = [
     "--set", "platform.n_hosts=32", "--set", "n_peers=4,6,8",
@@ -86,6 +86,20 @@ def _probe_result(seed=1):
         platform=PlatformPlan(kind="cluster", n_hosts=8), n_peers=4,
     )
     return spec, run_scenario(spec)
+
+
+def _synthetic_manifest(result, label, t):
+    """A three-point manifest over one axis ``x`` whose ``t`` grows
+    as ``t * (1 + x)`` — regressions are then a plain ratio."""
+    return {
+        "label": label, "scenario": SCENARIO,
+        "points": [
+            {"name": f"p[x={x}]",
+             "spec_hash": f"{result.spec_hash[:-2]}{x:02d}",
+             "result": dict(result.to_dict(), t=t * (1 + x))}
+            for x in range(3)
+        ],
+    }
 
 
 def _append_line(store, record):
@@ -178,6 +192,42 @@ class TestResultStore:
         fresh.compact()
         assert ResultStore(tmp_path).superseded_fraction() == 0.0
         assert fresh.labels() == {"a": 1}
+
+    def test_record_raw_dedups_and_stamps_time(self, tmp_path):
+        """The dispatcher's finalize sync: one record per (label,
+        hash), stamped when it lands unless the caller stamped it."""
+        spec, result = _probe_result()
+        raw = {"name": spec.name, "spec_hash": result.spec_hash,
+               "label": "a", "scenario": SCENARIO,
+               "result": result.to_dict()}
+        store = ResultStore(tmp_path)
+        assert store.record_raw(raw) is True
+        assert store.record_raw(raw) is False
+        assert ResultStore(tmp_path).record_raw(raw) is False
+        assert store.record_raw(dict(raw, label="b", ts=7.0)) is True
+        assert store.appended == 2 and store.skipped == 1
+        by_label = {r["label"]: r for r in ResultStore(tmp_path).entries()}
+        assert by_label["b"]["ts"] == 7.0
+        assert isinstance(by_label["a"]["ts"], float)
+
+    def test_record_raw_serves_every_read(self, tmp_path):
+        """A raw record is a full citizen of the index: the compare
+        path's label scan and the serve tier's hash probe both see
+        it."""
+        spec, result = _probe_result()
+        ResultStore(tmp_path).record_raw({
+            "name": spec.name, "spec_hash": result.spec_hash,
+            "label": "a", "scenario": SCENARIO,
+            "result": result.to_dict(),
+        })
+        reopened = ResultStore(tmp_path)
+        assert reopened.labels() == {"a": 1}
+        assert reopened.sweep_points("a") == [{
+            "name": spec.name, "spec_hash": result.spec_hash,
+            "result": result.to_dict(),
+        }]
+        assert reopened.get_result(result.spec_hash).to_dict() \
+            == result.to_dict()
 
     def test_get_result_returns_newest(self, tmp_path):
         spec, result = _probe_result()
@@ -291,40 +341,6 @@ class TestResultStore:
         assert again["dropped"] == 0 and again["generation"] == 2
         assert snapshot(ResultStore(tmp_path)) == before
 
-    def test_backfill_absorbs_only_complete_sweeps(self, tmp_path):
-        sweeps = tmp_path / "sweeps"
-        sweeps.mkdir()
-        spec, result = _probe_result()
-        point = {"name": spec.name, "spec_hash": result.spec_hash,
-                 "result": result.to_dict()}
-        (sweeps / "good.json").write_text(json.dumps(
-            {"label": "good", "scenario": SCENARIO, "points": [point]}
-        ))
-        (sweeps / "killed.json").write_text(json.dumps(
-            {"label": "killed", "scenario": SCENARIO,
-             "points": [point], "partial": True}
-        ))
-        (sweeps / "g.shard0of2.json").write_text(json.dumps(
-            {"label": "g", "scenario": SCENARIO, "points": [point],
-             "shard": {"index": 0, "count": 2, "n_points": 2}}
-        ))
-        (sweeps / "junk.json").write_text("{not json")
-        store = ResultStore(tmp_path)
-        stats = store.backfill(sweeps)
-        assert stats == {"manifests": 1, "absorbed": 1,
-                         "already_indexed": 0, "points": 1,
-                         "skipped_manifests": 3}
-        assert store.labels() == {"good": 1}
-        # idempotent: a second backfill appends nothing — and reports
-        # the manifest as already indexed, not as fresh work
-        again = store.backfill(sweeps)
-        assert again["points"] == 0 and again["absorbed"] == 0
-        assert again["already_indexed"] == 1
-
-    def test_backfill_missing_dir_is_noop(self, tmp_path):
-        stats = ResultStore(tmp_path).backfill(tmp_path / "nope")
-        assert stats["manifests"] == 0
-
 
 # -- the steal protocol -------------------------------------------------------
 
@@ -339,6 +355,33 @@ class TestProtocol:
         assert second is None
         claims = dirs.active_claims()
         assert [c["worker"] for c in claims] == ["w0"]
+
+    def test_grid_is_queued_once_and_claims_partition_it(self,
+                                                           tmp_path):
+        """The fleet's split of a grid: every point is queued exactly
+        once, in grid order, and claimers racing over the queue from
+        opposite ends divide it disjointly and completely."""
+        clear_memo()
+        specs = _specs()
+        dispatcher = FleetDispatcher(specs, label="g", scenario=SCENARIO,
+                                     cache_dir=tmp_path, workers=0)
+        dispatcher._prepare_dirs()
+        assert dispatcher._seed_from_cache(ResultCache(tmp_path)) == 0
+        queued = dispatcher.dirs.queued_tasks()
+        assert [t["index"] for t in queued] == list(range(len(specs)))
+        assert [t["spec_hash"] for t in queued] \
+            == [s.spec_hash() for s in specs]
+        claims = {"w0": [], "w1": []}
+        last = len(specs) - 1
+        for i in range(len(specs)):
+            for wid, index in (("w0", i), ("w1", last - i)):
+                if dispatcher.dirs.claim(index, wid) is not None:
+                    claims[wid].append(index)
+        assert claims["w0"] and claims["w1"]
+        assert not set(claims["w0"]) & set(claims["w1"])
+        assert sorted(claims["w0"] + claims["w1"]) \
+            == list(range(len(specs)))
+        assert dispatcher.dirs.queued_tasks() == []
 
     def test_claim_returns_the_payload_it_renamed(self, tmp_path,
                                                   monkeypatch):
@@ -538,13 +581,46 @@ class TestFleetRuns:
     def test_fleet_manifest_byte_identical_to_serial_sweep(self, tmp_path):
         serial = _serial_manifest(tmp_path / "serial")
         clear_memo()  # the fleet must earn its points, not inherit them
-        outcome = FleetDispatcher(
-            _specs(), label="g", scenario=SCENARIO,
+        specs = _specs()
+        # one point hangs its worker until another worker has finished
+        # a point, so both workers compute however fast the first one
+        # drains the cheap grid
+        held = specs[0].spec_hash()
+        dispatcher = FleetDispatcher(
+            specs, label="g", scenario=SCENARIO,
             cache_dir=tmp_path / "fleet", workers=2,
             heartbeat_interval=0.1, poll_interval=0.05,
-            wall_timeout=120.0, spawn_env=_spawn_env(),
-        ).run()
+            wall_timeout=120.0,
+            spawn_env=_spawn_env(REPRO_FLEET_FAULT=f"{held[:16]}=hang"),
+        )
+        box = {}
+
+        def drive():
+            box["outcome"] = dispatcher.run()
+
+        thread = threading.Thread(target=drive)
+        thread.start()
+        try:
+            holder = None
+            deadline = time.monotonic() + 60.0
+            while time.monotonic() < deadline:
+                if holder is None:
+                    for c in dispatcher.dirs.active_claims():
+                        if c["spec_hash"] == held:
+                            holder = c["worker"]
+                elif any(r["worker"] != holder for r in
+                         dispatcher.dirs.done_records().values()):
+                    break
+                time.sleep(0.02)
+            else:
+                pytest.fail("no second worker finished a point")
+        finally:
+            (dispatcher.dirs.root / "fault-disarmed").write_text("")
+            thread.join(timeout=120.0)
+        assert not thread.is_alive()
+        outcome = box["outcome"]
         assert outcome.complete
+        assert not outcome.reassignments
         assert outcome.computed == 12 and outcome.cached == 0
         # at least two workers actually stole work
         assert len(outcome.worker_points) >= 2
@@ -565,6 +641,74 @@ class TestFleetRuns:
         assert outcome.complete
         assert outcome.cached == 12 and outcome.computed == 0
         assert outcome.manifest_path.read_bytes() == serial.read_bytes()
+
+    def test_cache_hits_and_queue_split_the_grid(self, tmp_path):
+        """Points an earlier sweep answered resolve in the dispatcher;
+        only the rest reach the queue — together exactly the grid."""
+        cache = tmp_path / "shared"
+        clear_memo()  # memo hits are not written back to the disk cache
+        assert scenarios_main(
+            ["sweep", SCENARIO, "--serial", "--label", "half",
+             "--cache-dir", str(cache)]
+            + DEPLOY_ARGS[:-2] + ["--set", "seed=2011"]
+        ) == 0
+        clear_memo()
+        specs = _specs()
+        dispatcher = FleetDispatcher(specs, label="g", scenario=SCENARIO,
+                                     cache_dir=cache, workers=0)
+        dispatcher._prepare_dirs()
+        assert dispatcher._seed_from_cache(ResultCache(cache)) == 6
+        done = dispatcher.dirs.done_indices()
+        queued = {t["index"] for t in dispatcher.dirs.queued_tasks()}
+        assert not done & queued
+        assert done | queued == set(range(len(specs)))
+        assert {specs[i].seed for i in done} == {2011}
+        assert {specs[i].seed for i in queued} == {2013}
+
+    def test_new_grid_under_a_label_starts_clean(self, tmp_path):
+        """Re-running a label over the same grid resumes its done
+        records; over a different grid it is a new fleet, and the old
+        records must not leak into it."""
+        specs = _specs()
+
+        def prepared(grid):
+            dispatcher = FleetDispatcher(
+                grid, label="g", scenario=SCENARIO, cache_dir=tmp_path,
+                workers=0,
+            )
+            dispatcher._prepare_dirs()
+            return dispatcher.dirs
+
+        prepared(specs).mark_done({
+            "index": 0, "name": specs[0].name,
+            "spec_hash": specs[0].spec_hash(), "worker": "w0",
+            "result": {},
+        })
+        assert prepared(specs).done_indices() == {0}
+        dirs = prepared(specs[::-1])
+        assert dirs.done_indices() == set()
+        assert [p["spec_hash"] for p in dirs.read_grid()["points"]] \
+            == [s.spec_hash() for s in specs[::-1]]
+
+    def test_store_indexes_only_fleet_labels(self, tmp_path, capsys):
+        """A serial sweep writes its manifest and cache entries but no
+        store records; a fleet over the same cache indexes its own
+        label, every point once."""
+        cache = tmp_path / "shared"
+        _serial_manifest(cache)
+        assert ResultStore(cache).labels() == {}
+        outcome = FleetDispatcher(
+            _specs(), label="f", scenario=SCENARIO, cache_dir=cache,
+            workers=0, wall_timeout=60.0,
+        ).run()
+        assert outcome.complete and outcome.cached == 12
+        assert outcome.store_records == 12
+        assert ResultStore(cache).labels() == {"f": 12}
+        capsys.readouterr()
+        assert fleet_main(["store", "--cache-dir", str(cache)]) == 0
+        listing = capsys.readouterr().out.splitlines()
+        assert listing[0].split() == ["f", "12", "pt"]
+        assert listing[1].startswith("# 12 records at ")
 
     def test_rerun_resumes_from_done_records(self, tmp_path):
         cache = tmp_path / "fleet"
@@ -743,6 +887,23 @@ class TestFleetCli:
         ) == 2
         assert "plain file name" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("label", [".", "..", "a/b"])
+    def test_run_rejects_non_file_labels(self, tmp_path, capsys, label):
+        """`fleet run` applies the sweep CLI's label check before any
+        fleet directory exists."""
+        assert fleet_main(
+            ["run", SCENARIO, "--label", label,
+             "--cache-dir", str(tmp_path)]
+        ) == 2
+        assert "plain file name" in capsys.readouterr().err
+        assert not (tmp_path / "fleet").exists()
+
+    def test_backfill_is_not_a_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            fleet_main(["backfill"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_run_rejects_unknown_scenario(self, tmp_path, capsys):
         assert fleet_main(
             ["run", "no-such", "--cache-dir", str(tmp_path)]
@@ -781,31 +942,22 @@ class TestFleetCli:
         assert "fast" in out and "slow" in out
         assert "STRAGGLER" in out
 
-    def test_backfill_then_compare_html_from_store(self, tmp_path,
-                                                   capsys):
-        """The history-to-report path: absorb two manifests into the
-        store, then render the HTML regression report straight from
-        the index — no manifest re-reads, regressions highlighted."""
+    def test_compare_html_from_store(self, tmp_path):
+        """The history-to-report path: two labels recorded in the
+        store render the HTML regression report straight from the
+        index — no manifest re-reads, regressions highlighted."""
         sweeps = tmp_path / "sweeps"
         sweeps.mkdir()
-        spec, result = _probe_result()
-
-        def manifest(label, t):
-            return {
-                "label": label, "scenario": SCENARIO,
-                "points": [
-                    {"name": f"p[x={x}]",
-                     "spec_hash": f"{result.spec_hash[:-2]}{x:02d}",
-                     "result": dict(result.to_dict(), t=t * (1 + x))}
-                    for x in range(3)
-                ],
-            }
-
-        (sweeps / "base.json").write_text(json.dumps(manifest("base", 1.0)))
-        (sweeps / "slow.json").write_text(json.dumps(manifest("slow", 2.0)))
-        assert fleet_main(["backfill", "--cache-dir", str(tmp_path)]) == 0
-        assert "6 points indexed" in capsys.readouterr().out
-        # the manifests are now redundant: compare reads the store
+        _, result = _probe_result()
+        store = ResultStore(tmp_path)
+        for label, t in (("base", 1.0), ("slow", 2.0)):
+            payload = _synthetic_manifest(result, label, t)
+            (sweeps / f"{label}.json").write_text(json.dumps(payload))
+            for point in payload["points"]:
+                assert store.record_raw(dict(point, label=label,
+                                             scenario=SCENARIO))
+        assert store.labels() == {"base": 3, "slow": 3}
+        # the manifests are redundant: compare reads the store
         (sweeps / "base.json").unlink()
         (sweeps / "slow.json").unlink()
         out = tmp_path / "report.html"
@@ -827,3 +979,77 @@ class TestFleetCli:
         ) == 0
         out = capsys.readouterr().out
         assert "Sweep comparison" in out
+
+    def test_compare_reads_the_store_before_manifests(self, tmp_path):
+        """A stored label compares from the store even when a stale
+        manifest of the same label sits in sweeps/; a label only a
+        serial sweep recorded compares from its manifest."""
+        _, result = _probe_result()
+        store = ResultStore(tmp_path)
+        for point in _synthetic_manifest(result, "fleet", 1.0)["points"]:
+            assert store.record_raw(dict(point, label="fleet",
+                                         scenario=SCENARIO))
+        sweeps = tmp_path / "sweeps"
+        sweeps.mkdir()
+        for label, t in (("fleet", 5.0), ("serial", 2.0)):
+            (sweeps / f"{label}.json").write_text(
+                json.dumps(_synthetic_manifest(result, label, t)))
+        out = tmp_path / "diff.json"
+        assert fleet_main(
+            ["compare", "fleet", "serial", "--cache-dir", str(tmp_path),
+             "--format", "json", "--out", str(out)]
+        ) == 0
+        rows = json.loads(out.read_text())["rows"]
+        assert [row["ratio"] for row in rows] == pytest.approx([2.0] * 3)
+
+    def test_compare_unknown_label_is_usage_error(self, tmp_path, capsys):
+        assert fleet_main(["compare", "nope", "nope",
+                           "--cache-dir", str(tmp_path)]) == 2
+        assert "no sweep manifest" in capsys.readouterr().err
+
+
+# -- the compare body both CLIs share ----------------------------------------
+
+CLIS = {"scenarios": scenarios_main, "fleet": fleet_main}
+
+
+class TestSharedCompare:
+    """`repro.scenarios compare` and `repro.fleet compare` run one
+    compare body: over the same manifests they write the same bytes
+    and fail the same way."""
+
+    @pytest.mark.parametrize("fmt", ["markdown", "json"])
+    def test_both_clis_write_the_same_report(self, tmp_path, fmt):
+        _serial_manifest(tmp_path)
+        reports = []
+        for name, cli in CLIS.items():
+            out = tmp_path / f"{name}.{fmt}"
+            assert cli(
+                ["compare", "g", "g", "--cache-dir", str(tmp_path),
+                 "--over", "seed", "--percentiles", "50,99",
+                 "--format", fmt, "--out", str(out)]
+            ) == 0
+            reports.append(out.read_text())
+        assert reports[0] == reports[1]
+        if fmt == "json":
+            assert json.loads(reports[0])["percentiles"] == [50.0, 99.0]
+        else:
+            assert "P99 A" in reports[0]
+
+    @pytest.mark.parametrize("cli", sorted(CLIS))
+    def test_bad_percentiles_are_usage_errors(self, tmp_path, capsys, cli):
+        _serial_manifest(tmp_path)
+        capsys.readouterr()
+        argv = ["compare", "g", "g", "--cache-dir", str(tmp_path)]
+        assert CLIS[cli](argv + ["--percentiles", "50,x"]) == 2
+        assert "comma-separated numbers" in capsys.readouterr().err
+        assert CLIS[cli](argv + ["--percentiles", "150"]) == 2
+        assert "percentile must be in [0, 100]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cli", sorted(CLIS))
+    def test_unknown_over_axis_is_usage_error(self, tmp_path, capsys, cli):
+        _serial_manifest(tmp_path)
+        capsys.readouterr()
+        assert CLIS[cli](["compare", "g", "g", "--cache-dir",
+                          str(tmp_path), "--over", "nope"]) == 2
+        assert "--over axis 'nope'" in capsys.readouterr().err

@@ -6,6 +6,7 @@ here, not the workload.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +21,7 @@ from repro.scenarios import (
     run_scenario,
     scenario_names,
 )
+from repro.scenarios.cli import main
 from repro.scenarios.runner import clear_memo
 from repro.scenarios.spec import (
     ChurnEventSpec,
@@ -40,6 +42,23 @@ def tiny_spec(**overrides) -> ScenarioSpec:
     )
     defaults.update(overrides)
     return ScenarioSpec(**defaults)
+
+
+#: A cheap all-deploy grid: no workload calibration, each point only
+#: builds and settles a small overlay (~tens of ms).
+DEPLOY_ARGS = [
+    "--set", "platform.n_hosts=32", "--set", "n_peers=4,6,8",
+    "--set", "n_zones=1,2", "--set", "seed=2011,2013",
+]
+
+
+def _sweep(cache: Path, *extra: str) -> int:
+    return main(["sweep", "large-overlay-512", "--serial", "--label", "g",
+                 "--cache-dir", str(cache)] + DEPLOY_ARGS + list(extra))
+
+
+def _manifest(cache: Path, name: str = "g.json") -> Path:
+    return cache / "sweeps" / name
 
 
 @pytest.fixture(autouse=True)
@@ -404,6 +423,18 @@ class TestCli:
                      "--cache-dir", str(tmp_path)]) == 2
         assert "not a sweep manifest" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "large-overlay-512", "--shard", "0/2"],
+        ["merge-shards", "g"],
+    ])
+    def test_static_sharding_is_gone(self, argv, capsys):
+        """A grid splits across processes through the fleet only."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err or "invalid choice" in err
+
     def test_labelless_manifest_is_usage_error(self, tmp_path, capsys):
         from repro.scenarios.cli import main
 
@@ -412,3 +443,76 @@ class TestCli:
         assert main(["compare", str(bad), str(bad),
                      "--cache-dir", str(tmp_path)]) == 2
         assert "not a sweep manifest" in capsys.readouterr().err
+
+
+class TestIncrementalManifests:
+    def test_compare_rejects_partial_manifest(self, tmp_path, capsys):
+        """A killed sweep leaves `"partial": true` at the label path;
+        compare must refuse it rather than report over a fragment."""
+        clear_memo()
+        cache = tmp_path / "c"
+        assert _sweep(cache) == 0
+        path = _manifest(cache)
+        payload = json.loads(path.read_text())
+        payload["partial"] = True
+        path.write_text(json.dumps(payload, indent=1, sort_keys=True))
+        assert main(["compare", "g", "g", "--cache-dir", str(cache)]) == 2
+        assert "partial manifest" in capsys.readouterr().err
+
+    def test_incremental_manifest_marks_progress(self, tmp_path):
+        """During a sweep the manifest on disk is a partial record of
+        what finished; the final write clears the marker.  (A killed
+        sweep therefore leaves both the partial manifest and the
+        worker-written cache entries behind — the resume path.)"""
+        clear_memo()
+        cache = tmp_path / "c"
+        stages = []
+        from repro.scenarios import cli as cli_mod
+
+        original = cli_mod._dump_manifest
+
+        def spy(payload, path):
+            stages.append((payload.get("partial", False),
+                           len(payload["points"])))
+            original(payload, path)
+
+        cli_mod._dump_manifest = spy
+        try:
+            assert _sweep(cache) == 0
+        finally:
+            cli_mod._dump_manifest = original
+        assert stages[-1] == (False, 12)  # final manifest: complete
+        partials = [n for partial, n in stages if partial]
+        assert partials == sorted(partials)  # grows monotonically
+        assert len(partials) == 12  # one incremental write per point
+        final = json.loads(_manifest(cache).read_text())
+        assert "partial" not in final
+
+    def test_manifest_holds_the_grid_and_nothing_else(self, tmp_path):
+        """The final manifest is one file per label: label, scenario
+        and one name/hash/result entry per point, in grid order."""
+        from repro.params import parse_grid_sets
+
+        cache = tmp_path / "c"
+        assert _sweep(cache) == 0
+        assert [p.name for p in (cache / "sweeps").iterdir()] == ["g.json"]
+        payload = json.loads(_manifest(cache).read_text())
+        assert set(payload) == {"label", "scenario", "points"}
+        assert payload["label"] == "g"
+        assert payload["scenario"] == "large-overlay-512"
+        specs = expand_grid(get_scenario("large-overlay-512").base,
+                            parse_grid_sets(DEPLOY_ARGS[1::2]))
+        assert [p["spec_hash"] for p in payload["points"]] \
+            == [s.spec_hash() for s in specs]
+        assert all(set(p) == {"name", "spec_hash", "result"}
+                   for p in payload["points"])
+
+    def test_label_defaults_to_the_scenario_name(self, tmp_path, capsys):
+        cache = tmp_path / "c"
+        assert main(["sweep", "large-overlay-512", "--serial",
+                     "--cache-dir", str(cache)] + DEPLOY_ARGS) == 0
+        path = _manifest(cache, "large-overlay-512.json")
+        assert f"# sweep manifest: {path}" in capsys.readouterr().out
+        assert json.loads(path.read_text())["label"] == "large-overlay-512"
+        assert main(["compare", "large-overlay-512", "large-overlay-512",
+                     "--cache-dir", str(cache)]) == 0

@@ -1,6 +1,6 @@
-"""The sweep cache stack: atomic writes, cache union, trace cache.
+"""The sweep cache stack: atomic writes, trace cache.
 
-Concurrent shards share one cache directory, so every on-disk write
+Concurrent fleet workers share one cache directory, so every on-disk write
 in the stack (results, manifests, traces) must be
 tempfile-then-``os.replace`` atomic: a reader racing a writer sees
 the old complete file or the new complete file, never a torn one.
@@ -27,7 +27,7 @@ class TestAtomicWrites:
     def test_put_is_atomic_under_interrupted_replace(self, tmp_path,
                                                      monkeypatch):
         """A writer dying mid-put must leave the previous entry intact
-        and no temp litter — the torn-JSON scenario of two shards on
+        and no temp litter — the torn-JSON scenario of two workers on
         one cache directory."""
         cache = ResultCache(tmp_path)
         spec = _spec()
@@ -61,22 +61,6 @@ class TestAtomicWrites:
         spec = _spec()
         cache._path(spec.spec_hash()).write_text('{"spec": {"trunc')
         assert cache.get(spec) is None  # miss, not a crash
-
-
-class TestAbsorb:
-    def test_union_is_a_file_copy(self, tmp_path):
-        a, b = ResultCache(tmp_path / "a"), ResultCache(tmp_path / "b")
-        spec_a, spec_b = _spec(seed=1), _spec(seed=2)
-        a.put(spec_a, run_scenario(spec_a))
-        b.put(spec_b, run_scenario(spec_b))
-        copied = a.absorb(b.root)
-        assert copied == 1
-        assert a.get(spec_b) is not None
-        # idempotent: existing entries are kept, not rewritten
-        assert a.absorb(b.root) == 0
-
-    def test_absorb_missing_dir_is_noop(self, tmp_path):
-        assert ResultCache(tmp_path / "a").absorb(tmp_path / "nope") == 0
 
 
 class TestTraceCache:
